@@ -100,10 +100,20 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _traceless_generators(d: int) -> np.ndarray:
+    """The d*d - 1 traceless members of _hermitian_basis(d), each flattened
+    to a row: shape (d*d - 1, d*d); a read-only view."""
+    return _hermitian_basis(d)[1:].reshape(d * d - 1, d * d)
+
+
 @dataclass(frozen=True)
 class UnitaryPoint:
     """Point in the search space: dim**2 real parameters mapped to a special
-    unitary through the exponential of a traceless Hermitian generator."""
+    unitary through the exponential of a traceless Hermitian generator.
+
+    params are coefficients over _hermitian_basis(dim); params[0], the
+    identity component, only adds a global phase and is ignored."""
 
     dim: int
     params: np.ndarray
@@ -135,9 +145,7 @@ class UnitaryPoint:
 
 
 def _realize_unitary(d: int, params: np.ndarray) -> np.ndarray:
-    gens = _hermitian_basis(d)
-    h = np.tensordot(params, gens, axes=1)
-    h -= (np.trace(h) / d) * np.eye(d)
+    h = (params[1:] @ _traceless_generators(d)).reshape(d, d)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
@@ -225,11 +233,10 @@ def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
 # objective machinery
 
 
-def _entropy_bits(w: np.ndarray) -> float:
-    w = w[w > EIG_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-np.sum(w * np.log2(w)))
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis; entries at or below
+    EIG_FLOOR contribute zero."""
+    return -(x * np.log2(np.where(x > EIG_FLOOR, x, 1.0))).sum(axis=-1)
 
 
 def _binary_entropy(x: float) -> float:
@@ -299,32 +306,37 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
 
 
 def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
-    tens = sig.reshape(da, db, da, db)
+    # amat[(a,c),(b,d)] = sig[(a,b),(c,d)]: Alice's index pair on the rows
+    amat = sig.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    diag = slice(None, None, db + 1)  # diagonal of a flattened db x db block
     is_l1 = kind is DistanceKind.L1
 
     def f(params):
         u = _realize_unitary(da, params)
-        m = np.einsum("ai,abcd,ci->ibd", u.conj(), tens, u, optimize=True)
-        ps = np.einsum("ibb->i", m).real
+        w = (u.conj()[:, None, :] * u[None, :, :]).reshape(da * da, da)
+        # row i is outcome i's unnormalised steered state, flattened
+        m = w.T @ amat
+        ps = m[:, diag].real.sum(axis=1)
         good = ps >= ZERO_PROB
-        if not good.any():
-            return 0.0
-        mn = m[good] / ps[good, None, None]
-        diags = np.diagonal(mn, axis1=1, axis2=2)
+        if not good.all():
+            if not good.any():
+                return 0.0
+            m, ps = m[good], ps[good]
+        mn = m / ps[:, None]
         if is_l1:
-            per = np.abs(mn).sum(axis=(1, 2)) - np.abs(diags).sum(axis=1)
+            mag = np.abs(mn)
+            per = mag.sum(axis=1) - mag[:, diag].sum(axis=1)
         else:
-            dr = np.clip(diags.real, 0.0, 1.0)
-            s_diag = -np.sum(np.where(dr > EIG_FLOOR, dr * np.log2(np.maximum(dr, EIG_FLOOR)), 0.0), axis=1)
             if db == 2:
-                purity = (np.abs(mn) ** 2).sum(axis=(1, 2))
-                r = np.sqrt(np.clip(2.0 * purity - 1.0, 0.0, 1.0))
-                lam = np.stack([(1 + r) / 2, (1 - r) / 2], axis=1)
+                purity = (mn.real ** 2 + mn.imag ** 2).sum(axis=1)
+                r = np.sqrt(np.maximum(2.0 * purity - 1.0, 0.0))
+                lam = 0.5 + np.multiply.outer(r, (0.5, -0.5))
             else:
-                lam = np.clip(np.linalg.eigvalsh(mn), 0.0, 1.0)
-            s_full = -np.sum(np.where(lam > EIG_FLOOR, lam * np.log2(np.maximum(lam, EIG_FLOOR)), 0.0), axis=1)
-            per = np.clip(s_diag - s_full, 0.0, None)
-        return float(np.sum(ps[good] * per))
+                lam = np.linalg.eigvalsh(mn.reshape(-1, db, db))
+            spectra = np.minimum(np.maximum(np.array([mn[:, diag].real, lam]), 0.0), 1.0)
+            s_diag, s_full = _entropy_rows(spectra)
+            per = np.maximum(s_diag - s_full, 0.0)
+        return float(ps @ per)
 
     return f
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from steercoh import (
     ComparabilityWarning,
     DensityMatrix,
+    DistanceKind,
     EigenbasisFamily,
     PASS,
     ProjectiveBasis,
@@ -23,10 +24,12 @@ from steercoh import (
     mid,
     mid_detail,
     sic,
+    tensor_product,
     verify_sic_properties,
     verify_theorem1,
     werner_state,
 )
+from steercoh.correlations import _alice_objective, _b_marginal_family
 from steercoh.sampling import (
     haar_unitary,
     random_hs_state,
@@ -142,6 +145,49 @@ def test_avg_steered_coherence_matches_manual_sum():
         if not out.negligible:
             manual += out.probability * coherence("r", out.state, bob)
     assert np.isclose(avg_steered_coherence(rho, alice, bob, "r"), manual, atol=1e-12)
+
+
+KINDS = (DistanceKind.RELATIVE_ENTROPY, DistanceKind.L1)
+
+
+def test_general_objective_matches_reference():
+    rng = np.random.default_rng(13)
+    for dims in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        rho = random_state_nondegenerate_b(dims, rng)
+        bob = _b_marginal_family(rho).base
+        for kind in KINDS:
+            f = _alice_objective(rho, bob, kind, force_general=True)
+            for _ in range(20):
+                pt = UnitaryPoint(dims[0], rng.normal(scale=1.2, size=dims[0] ** 2))
+                ref = avg_steered_coherence(rho, pt.basis(), bob, kind)
+                assert abs(f(pt.params) - ref) <= 1e-12
+
+
+def test_general_objective_skips_zero_probability_outcomes():
+    rng = np.random.default_rng(14)
+    for da in (2, 3):
+        ket0 = np.zeros((da, da), dtype=complex)
+        ket0[0, 0] = 1.0
+        rho = tensor_product(DensityMatrix(ket0, (da,)), random_hs_state((2,), rng))
+        bob = ProjectiveBasis.computational(2)
+        # at zero params Alice measures in the computational basis, so every
+        # outcome but the first has probability zero
+        alice = UnitaryPoint(da, np.zeros(da * da)).basis()
+        for kind in KINDS:
+            f = _alice_objective(rho, bob, kind, force_general=True)
+            ref = avg_steered_coherence(rho, alice, bob, kind)
+            assert ref > 0.0
+            assert abs(f(np.zeros(da * da)) - ref) <= 1e-12
+
+
+def test_sic_general_path_matches_bloch_path():
+    rng = np.random.default_rng(15)
+    for kind in ("r", "l1"):
+        for _ in range(3):
+            rho = random_state_nondegenerate_b((2, 2), rng)
+            bloch = sic(rho, kind, LIGHT, seed=0).value
+            general = sic(rho, kind, LIGHT, seed=0, force_general=True).value
+            assert abs(bloch - general) <= 1e-9
 
 
 def test_b_side_mid_of_gap_example():

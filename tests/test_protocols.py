@@ -101,6 +101,12 @@ def test_werner_state_family():
         werner_state(-0.4)
 
 
+def test_star_import_exposes_werner_state():
+    namespace = {}
+    exec("from steercoh import *", namespace)
+    assert namespace["werner_state"] is werner_state
+
+
 def test_product_state_builds_tensor():
     rng = np.random.default_rng(0)
     a = random_hs_state((2,), rng)
