@@ -30,7 +30,7 @@ from .qkernel import (
     ZERO_PROB,
     DensityMatrix,
     ProjectiveBasis,
-    dephase,
+    dephase,  # noqa: F401  (unused here; perfbench/tracer.py rebinds it)
     eig_hermitian,
     partial_trace,
     steer,
@@ -214,15 +214,19 @@ class EigenbasisFamily:
         params = np.asarray(params, dtype=float).reshape(-1)
         if params.size != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {params.size}")
+        return ProjectiveBasis.from_columns(self._columns(params))
+
+    def _columns(self, params) -> np.ndarray:
+        """Unchecked member(params) as a unitary with the kets as columns."""
         cols = np.array(self.base.matrix)
         off = 0
         for blk in self.active_blocks:
             m = len(blk)
             u = _realize_unitary(m, params[off:off + m * m])
-            idx = list(blk)
+            idx = slice(blk[0], blk[-1] + 1)  # clusters are runs of sorted eigenvalues
             cols[:, idx] = cols[:, idx] @ u
             off += m * m
-        return ProjectiveBasis.from_columns(cols)
+        return cols
 
 
 def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
@@ -418,24 +422,55 @@ def _maximize_alice(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: Distan
 # disturbance quantities
 
 
-def _dephased_b(rho: DensityMatrix, basis: ProjectiveBasis) -> DensityMatrix:
-    return dephase(rho, basis, target=1)
+def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
+                           fam_b: EigenbasisFamily, kind: DistanceKind):
+    """Distance from rho to its dephasing in the family members picked by
+    phi = (fam_a params, fam_b params); only B is dephased when fam_a is None.
+    In the members' frame the dephasing (a pinching, so the relative entropy
+    is an entropy gap) keeps the entries marked by `keep`."""
+    da, db = rho.dims
+    data = rho.data
+    na = 0 if fam_a is None else fam_a.n_params
+    eye_a = np.eye(da)
+    keep = np.kron(np.ones((da, da)) if fam_a is None else eye_a, np.eye(db))
+    is_r = kind is DistanceKind.RELATIVE_ENTROPY
+    s_rho = von_neumann_entropy(rho) if is_r else 0.0
+
+    def obj(phi):
+        ua = eye_a if fam_a is None else fam_a._columns(phi[:na])
+        ub = fam_b._columns(phi[na:])
+        v = (ua[:, None, :, None] * ub[None, :, None, :]).reshape(data.shape)
+        rot = v.conj().T @ data @ v
+        if is_r:
+            return max(0.0, float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho)
+        return float(np.abs(np.linalg.eigvalsh(rot - rot * keep)).sum())
+
+    return obj
 
 
-def _mid_value(rho: DensityMatrix, sigma: DensityMatrix, kind: DistanceKind) -> float:
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        # sigma is a pinching of rho, so the divergence is an entropy gap
-        return max(0.0, von_neumann_entropy(sigma) - von_neumann_entropy(rho))
-    return float(np.abs(np.linalg.eigvalsh(rho.data - sigma.data)).sum())
+def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
+                          fam_b: EigenbasisFamily, kind: DistanceKind,
+                          budget: SearchBudget, seed: int) -> _SearchOutcome:
+    obj = _disturbance_objective(rho, fam_a, fam_b, kind)
+    n = fam_b.n_params + (0 if fam_a is None else fam_a.n_params)
+    if n == 0:
+        return _SearchOutcome(obj(np.zeros(0)), np.zeros(0), True, 1)
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(n)]
+    while len(starts) < budget.outer_starts:
+        starts.append(rng.normal(scale=1.2, size=n))
+    return _multistart_minimize(obj, starts, budget.outer_evals, xtol=1e-8, ftol=1e-13)
 
 
-def _check_mid_kind(kind) -> DistanceKind:
+def _check_mid_args(rho: DensityMatrix, kind, name: str) -> DistanceKind:
     kind = DistanceKind.parse(kind)
     if kind is DistanceKind.L1:
         raise ValueError(
             "l1 distance is basis dependent and does not define a disturbance "
             "measure; use 'r' or 't'"
         )
+    if rho.n_subsystems != 2:
+        raise ValueError(f"{name} expects a bipartite state (regroup dims first)")
     return kind
 
 
@@ -447,23 +482,9 @@ class MidResult(NamedTuple):
 
 def b_side_mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                        seed: int = 0) -> MidResult:
-    kind = _check_mid_kind(kind)
-    if rho.n_subsystems != 2:
-        raise ValueError("b_side_mid expects a bipartite state (regroup dims first)")
-    budget = budget or DEFAULT_BUDGET
+    kind = _check_mid_args(rho, kind, "b_side_mid")
     fam = _b_marginal_family(rho)
-    if fam.is_trivial:
-        basis = fam.base
-        return MidResult(_mid_value(rho, _dephased_b(rho, basis), kind), basis, True)
-    rng = np.random.default_rng(seed)
-
-    def obj(phi):
-        return _mid_value(rho, _dephased_b(rho, fam.member(phi)), kind)
-
-    starts = [np.zeros(fam.n_params)]
-    while len(starts) < budget.outer_starts:
-        starts.append(rng.normal(scale=1.2, size=fam.n_params))
-    res = _multistart_minimize(obj, starts, budget.outer_evals, xtol=1e-8, ftol=1e-13)
+    res = _minimize_disturbance(rho, None, fam, kind, budget or DEFAULT_BUDGET, seed)
     return MidResult(res.value, fam.member(res.x), res.converged)
 
 
@@ -483,30 +504,11 @@ class MidJointResult(NamedTuple):
 
 def mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                seed: int = 0) -> MidJointResult:
-    kind = _check_mid_kind(kind)
-    if rho.n_subsystems != 2:
-        raise ValueError("mid expects a bipartite state (regroup dims first)")
-    budget = budget or DEFAULT_BUDGET
+    kind = _check_mid_args(rho, kind, "mid")
     fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
     fam_b = _b_marginal_family(rho)
-    na, nb = fam_a.n_params, fam_b.n_params
-
-    def value_at(basis_a, basis_b):
-        sig = dephase(dephase(rho, basis_a, target=0), basis_b, target=1)
-        return _mid_value(rho, sig, kind)
-
-    if na == 0 and nb == 0:
-        return MidJointResult(value_at(fam_a.base, fam_b.base),
-                              fam_a.base, fam_b.base, True)
-    rng = np.random.default_rng(seed)
-
-    def obj(phi):
-        return value_at(fam_a.member(phi[:na]), fam_b.member(phi[na:]))
-
-    starts = [np.zeros(na + nb)]
-    while len(starts) < budget.outer_starts:
-        starts.append(rng.normal(scale=1.2, size=na + nb))
-    res = _multistart_minimize(obj, starts, budget.outer_evals, xtol=1e-8, ftol=1e-13)
+    res = _minimize_disturbance(rho, fam_a, fam_b, kind, budget or DEFAULT_BUDGET, seed)
+    na = fam_a.n_params
     return MidJointResult(res.value, fam_a.member(res.x[:na]),
                           fam_b.member(res.x[na:]), res.converged)
 
@@ -668,10 +670,10 @@ def verify_theorem1(rho: DensityMatrix, kind="r", budget: SearchBudget | None = 
 
 
 def _aligned_to_b_eigenbasis(rho: DensityMatrix) -> DensityMatrix:
-    """Rotate Bob's side so rho_B is diagonal (sic is invariant under this)."""
-    fam = _b_marginal_family(rho)
-    big = np.kron(np.eye(rho.dims[0]), fam.base.matrix)
-    return DensityMatrix(big.conj().T @ rho.data @ big, rho.dims, rho.tol)
+    """Rotate Bob's side so rho_B is diagonal (sic, b_side_mid and the other
+    quantities with basis-covariant definitions are invariant under this)."""
+    sig = _rotate_bob_frame(rho, _b_marginal_family(rho).base)
+    return DensityMatrix(sig, rho.dims, rho.tol)
 
 
 def verify_sic_properties(rho: DensityMatrix, kind="r",

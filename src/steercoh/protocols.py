@@ -19,6 +19,7 @@ import numpy as np
 from .correlations import (
     EPS_DEG,
     SearchBudget,
+    _aligned_to_b_eigenbasis,
     avg_steered_coherence,
     b_side_mid,
     fourier_basis,
@@ -36,7 +37,7 @@ from .qkernel import (
     KrausMap,
     ProjectiveBasis,
     apply_kraus,
-    eig_hermitian,
+    eig_hermitian,  # noqa: F401  (unused here; perfbench/tracer.py rebinds it)
     partial_trace,
     product_basis,
     regroup_dims,
@@ -407,15 +408,6 @@ def steering_induced_entanglement(rho_abc: DensityMatrix, alice: ProjectiveBasis
     return avg, per_outcome
 
 
-def _align_b_frame(rho: DensityMatrix) -> DensityMatrix:
-    """Rotate Bob's side so rho_B is diagonal (all coherence/disturbance
-    quantities with basis-covariant definitions are unchanged)."""
-    da, db = rho.dims
-    _, v = eig_hermitian(partial_trace(rho, [1]).data)
-    big = np.kron(np.eye(da), v)
-    return DensityMatrix(big.conj().T @ rho.data @ big, rho.dims, rho.tol)
-
-
 def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = None,
                       budget: SearchBudget | None = None, seed: int = 0) -> VerificationReport:
     """Drive the copy-gate protocol and check the entanglement chain: each
@@ -429,7 +421,7 @@ def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = 
     if min_eigengap(rho_b.data) < EPS_DEG:
         raise ValueError("input must have a non-degenerate B marginal")
     alice = alice or fourier_basis(da)
-    aligned = _align_b_frame(varrho_ab)
+    aligned = _aligned_to_b_eigenbasis(varrho_ab)
     e_b = ProjectiveBasis.computational(db)
     e_c = ProjectiveBasis.computational(db)
     e_bc = product_basis(e_b, e_c)

@@ -290,13 +290,13 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> Dens
     pre = int(np.prod(rho.dims[:target], dtype=int)) if target > 0 else 1
     post = int(np.prod(rho.dims[target + 1:], dtype=int)) if target < n - 1 else 1
     u = basis.matrix
-    t = rho.data.reshape(pre, dt, post, pre, dt, post)
-    # Rotate the target legs into the measurement basis, keep only the
-    # diagonal in that index pair, rotate back.
-    t1 = np.einsum("ai,paqrbs,bj->piqrjs", u.conj(), t, u, optimize=True)
-    t1 = t1 * np.eye(dt).reshape(1, dt, 1, 1, dt, 1)
-    t2 = np.einsum("ai,piqrjs,bj->paqrbs", u, t1, u.conj(), optimize=True)
-    return DensityMatrix(t2.reshape(rho.side, rho.side), rho.dims, rho.tol)
+    # With the target's index pair last, each (dt, dt) block x is a row; x @ w
+    # is its diagonal in the basis and @ w^H rotates that back: sum_k P_k x P_k.
+    w = (u.conj()[:, None, :] * u[None, :, :]).reshape(dt * dt, dt)
+    t = rho.data.reshape(pre, dt, post, pre, dt, post).transpose(0, 2, 3, 5, 1, 4)
+    blocks = (t.reshape(-1, dt * dt) @ w) @ w.conj().T
+    out = blocks.reshape(pre, post, pre, post, dt, dt).transpose(0, 4, 1, 2, 5, 3)
+    return DensityMatrix(out.reshape(rho.side, rho.side), rho.dims, rho.tol)
 
 
 def _embed_on_subsystem(op: np.ndarray, dims, target: int) -> np.ndarray:

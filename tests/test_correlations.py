@@ -19,17 +19,24 @@ from steercoh import (
     bell_state,
     coherence,
     dephase,
+    distance,
     fourier_basis,
     gap_example,
     mid,
     mid_detail,
+    partial_trace,
     sic,
     tensor_product,
     verify_sic_properties,
     verify_theorem1,
     werner_state,
 )
-from steercoh.correlations import _alice_objective, _b_marginal_family
+from steercoh.cli import _bell_diagonal
+from steercoh.correlations import (
+    _alice_objective,
+    _b_marginal_family,
+    _disturbance_objective,
+)
 from steercoh.sampling import (
     haar_unitary,
     random_hs_state,
@@ -201,8 +208,6 @@ def test_b_side_mid_detail_returns_achieving_basis():
     rho = random_state_nondegenerate_b((2, 2), rng)
     res = b_side_mid_detail(rho, "r")
     assert res.converged
-    from steercoh import distance
-
     deph = dephase(rho, res.basis, target=1)
     assert np.isclose(distance("r", rho, deph), res.value, atol=1e-9)
 
@@ -241,10 +246,55 @@ def test_mid_detail_witnesses_reproduce_value():
     rho = random_state_nondegenerate_b((2, 2), rng)
     res = mid_detail(rho, "r", LIGHT)
     deph = dephase(dephase(rho, res.basis_a, target=0), res.basis_b, target=1)
-    from steercoh import distance
-
     assert np.isclose(distance("r", rho, deph), res.value, atol=1e-9)
     assert res.converged
+
+
+def _schmidt_mixture(rng, dims, schmidt, noise) -> DensityMatrix:
+    """0.7 |psi><psi| + 0.3 noise (x) I/d_B, |psi> with the given Schmidt
+    coefficients in random local frames; rho_B is I/d_B when they are equal."""
+    da, db = dims
+    psi = np.zeros((da, db), dtype=complex)
+    for i, lam in enumerate(schmidt):
+        psi[i, i] = np.sqrt(lam)
+    psi = (haar_unitary(da, rng) @ psi @ haar_unitary(db, rng).T).reshape(-1)
+    data = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.kron(noise, np.eye(db) / db)
+    return DensityMatrix(data, dims)
+
+
+def _degenerate_states():
+    rng = np.random.default_rng(21)
+    sigma_a = random_hs_state((3,), rng).data
+    return {
+        "werner": (werner_state(0.6), False),
+        "bell_diagonal": (_bell_diagonal(rng), False),
+        # two-fold degenerate rho_B = I/2, generic rho_A
+        "3x2": (_schmidt_mixture(rng, (3, 2), (0.5, 0.5), sigma_a), False),
+        # rho_A and rho_B both with a two-fold degenerate top eigenvalue
+        "3x3": (_schmidt_mixture(rng, (3, 3), (0.4, 0.4, 0.2), np.eye(3) / 3), True),
+    }
+
+
+@pytest.mark.parametrize("kind", ["r", "t"])
+@pytest.mark.parametrize("name", ["werner", "bell_diagonal", "3x2", "3x3"])
+def test_disturbance_objective_matches_dephased_distance(name, kind):
+    rho, joint_only = _degenerate_states()[name]
+    kind = DistanceKind.parse(kind)
+    fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
+    fam_b = _b_marginal_family(rho)
+    na, nb = fam_a.n_params, fam_b.n_params
+    assert nb > 0 and (na > 0 or name == "3x2")
+    b_side = _disturbance_objective(rho, None, fam_b, kind)
+    joint = _disturbance_objective(rho, fam_a, fam_b, kind)
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        phi = rng.normal(scale=1.2, size=na + nb)
+        basis_a, basis_b = fam_a.member(phi[:na]), fam_b.member(phi[na:])
+        both = dephase(dephase(rho, basis_a, target=0), basis_b, target=1)
+        assert abs(joint(phi) - distance(kind, rho, both)) <= 1e-12
+        if not joint_only:
+            ref = distance(kind, rho, dephase(rho, basis_b, target=1))
+            assert abs(b_side(phi[na:]) - ref) <= 1e-12
 
 
 def test_sic_rejects_trace_norm_kind():

@@ -271,6 +271,23 @@ def test_dephase_idempotent():
     assert once.close_to(twice, atol=1e-12)
 
 
+def test_dephase_matches_explicit_pinching_on_every_target():
+    rng = np.random.default_rng(12)
+    dims = (2, 3, 2)
+    rho = random_hs_state(dims, rng)
+    for target, dt in enumerate(dims):
+        u = haar_unitary(dt, rng)
+        pre, post = int(np.prod(dims[:target])), int(np.prod(dims[target + 1:]))
+        expect = np.zeros_like(rho.data)
+        for k in range(dt):
+            proj = np.kron(np.kron(np.eye(pre), np.outer(u[:, k], u[:, k].conj())),
+                           np.eye(post))
+            expect += proj @ rho.data @ proj
+        out = dephase(rho, ProjectiveBasis.from_columns(u), target=target)
+        assert out.dims == dims
+        assert_allclose(out.data, expect, atol=1e-14)
+
+
 def test_kraus_map_requires_trace_preservation():
     with pytest.raises(InvalidStateError):
         KrausMap((np.diag([1.0, 0.5]),), target=0)
