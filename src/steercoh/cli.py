@@ -41,6 +41,7 @@ from .measures import (
 )
 from .protocols import (
     StateRecipe,
+    bell_diagonal_state,
     make_state,
     maximally_correlated,
     rho_x_finding,
@@ -129,6 +130,19 @@ def _basis_payload(basis: ProjectiveBasis) -> dict:
     return _matrix_payload(basis.matrix)
 
 
+def _parse_recipe(text: str) -> StateRecipe:
+    try:
+        return StateRecipe.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(
+            EXIT_VALIDATION,
+            f"recipe is not valid JSON: line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}",
+        ) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
+
+
 def _load_source(args) -> tuple[DensityMatrix, dict]:
     has_state = getattr(args, "state", None) is not None
     has_recipe = getattr(args, "recipe", None) is not None
@@ -151,15 +165,9 @@ def _load_source(args) -> tuple[DensityMatrix, dict]:
             raise CliError(EXIT_VALIDATION, f"invalid state file: {exc}") from exc
         source = {"state": args.state}
     else:
+        recipe = _parse_recipe(args.recipe)
         try:
-            recipe = StateRecipe.from_json(args.recipe)
             rho = make_state(recipe)
-        except json.JSONDecodeError as exc:
-            raise CliError(
-                EXIT_VALIDATION,
-                f"recipe is not valid JSON: line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}",
-            ) from exc
         except ValueError as exc:
             raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
         source = {"recipe": json.loads(recipe.to_json())}
@@ -346,20 +354,6 @@ def cmd_compute(args) -> int:
 # verify
 
 
-def _bell_diagonal(rng: np.random.Generator) -> DensityMatrix:
-    p = rng.dirichlet(np.ones(4))
-    kets = []
-    for hi, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        ket = np.zeros(4, dtype=complex)
-        if hi == 0:
-            ket[0], ket[3] = 1.0, sign
-        else:
-            ket[1], ket[2] = 1.0, sign
-        kets.append(ket / math.sqrt(2.0))
-    data = sum(pi * np.outer(k, k.conj()) for pi, k in zip(p, kets))
-    return DensityMatrix(data, (2, 2))
-
-
 def _suite_thm1(args, budget) -> list:
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -381,7 +375,7 @@ def _suite_thm3(args, budget) -> list:
     reports = []
     for i in range(args.n):
         if i % 3 == 2:
-            rho = _bell_diagonal(rng)
+            rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
         else:
             rho = random_state_nondegenerate_b((2, 2), rng)
         reports.append(verify_theorem3(rho, budget, seed=args.seed + i))
@@ -553,12 +547,7 @@ def _sweep_csv(rows, kind, qb_kind, seed) -> str:
 def cmd_sweep(args) -> int:
     if args.recipe is None:
         raise CliError(EXIT_VALIDATION, "sweep requires --recipe JSON")
-    try:
-        recipe = StateRecipe.from_json(args.recipe)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_VALIDATION, f"recipe is not valid JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
+    recipe = _parse_recipe(args.recipe)
     grids = {k: v for k, v in recipe.params.items() if isinstance(v, (list, tuple))}
     if len(grids) != 1:
         raise CliError(
@@ -613,12 +602,7 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     if args.recipe is None:
         raise CliError(EXIT_VALIDATION, "sample requires --recipe JSON")
-    try:
-        recipe = StateRecipe.from_json(args.recipe)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_VALIDATION, f"recipe is not valid JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
+    recipe = _parse_recipe(args.recipe)
     if recipe.kind not in ("random_hs", "random_pure"):
         raise CliError(
             EXIT_VALIDATION, "sample supports recipe kinds random_hs and random_pure"

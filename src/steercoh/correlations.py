@@ -30,6 +30,7 @@ from .qkernel import (
     ZERO_PROB,
     DensityMatrix,
     ProjectiveBasis,
+    _entropy_rows,
     dephase,  # noqa: F401  (unused here; perfbench/tracer.py rebinds it)
     eig_hermitian,
     partial_trace,
@@ -43,6 +44,7 @@ from .sampling import (
     random_state_nondegenerate_b,
     random_stinespring_kraus,
 )
+from .twoqubit import _pauli_coefficients
 
 # Eigenvalues closer than this are treated as degenerate, activating the
 # eigenbasis-family optimization.
@@ -237,24 +239,12 @@ def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
 # objective machinery
 
 
-def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis; entries at or below
-    EIG_FLOOR contribute zero."""
-    return -(x * np.log2(np.where(x > EIG_FLOOR, x, 1.0))).sum(axis=-1)
-
-
+# Scalar hot path of the Bloch objective: it runs about 375k times per Werner
+# sic, where one numpy call would cost more than a whole scalar evaluation.
 def _binary_entropy(x: float) -> float:
     if x <= EIG_FLOOR or x >= 1.0 - EIG_FLOOR:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def _rotate_bob_frame(rho: DensityMatrix, bob_basis: ProjectiveBasis) -> np.ndarray:
@@ -266,12 +256,9 @@ def _rotate_bob_frame(rho: DensityMatrix, bob_basis: ProjectiveBasis) -> np.ndar
 def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
     """Two-qubit objective in Bloch form; Bob's reference basis is the z axis
     of the (already rotated) frame."""
-    a = np.array([np.trace(sig @ np.kron(_PAULI[i], _PAULI[0])).real for i in (1, 2, 3)])
-    b = np.array([np.trace(sig @ np.kron(_PAULI[0], _PAULI[j])).real for j in (1, 2, 3)])
-    tmat_t = np.array(
-        [[np.trace(sig @ np.kron(_PAULI[i], _PAULI[j])).real for i in (1, 2, 3)]
-         for j in (1, 2, 3)]
-    )  # transpose of the correlation matrix
+    th = _pauli_coefficients(sig)
+    a, b = th[1:, 0], th[0, 1:]
+    tmat_t = th[1:, 1:].T  # transpose of the correlation matrix
     s2 = math.sqrt(2.0)
     is_l1 = kind is DistanceKind.L1
 
@@ -345,13 +332,12 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
     return f
 
 
-def _alice_objective(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: DistanceKind,
-                     force_general: bool = False):
-    da, db = rho.dims
+def _alice_objective(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: DistanceKind):
+    """Bloch form for two qubits (cheaper per evaluation), general otherwise."""
     sig = _rotate_bob_frame(rho, bob_basis)
-    if da == 2 and db == 2 and not force_general:
+    if rho.dims == (2, 2):
         return _objective_bloch_2q(sig, kind)
-    return _objective_general(sig, da, db, kind)
+    return _objective_general(sig, *rho.dims, kind)
 
 
 def avg_steered_coherence(rho: DensityMatrix, alice: ProjectiveBasis,
@@ -411,8 +397,8 @@ def _alice_starts(da: int, budget: SearchBudget, rng: np.random.Generator,
 
 def _maximize_alice(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: DistanceKind,
                     budget: SearchBudget, rng: np.random.Generator,
-                    extra_starts=(), force_general: bool = False) -> _SearchOutcome:
-    f = _alice_objective(rho, bob_basis, kind, force_general=force_general)
+                    extra_starts=()) -> _SearchOutcome:
+    f = _alice_objective(rho, bob_basis, kind)
     starts = _alice_starts(rho.dims[0], budget, rng, extra_starts)
     res = _multistart_minimize(lambda x: -f(x), starts, budget.max_evals)
     return _SearchOutcome(-res.value, res.x, res.converged, res.evals)
@@ -531,7 +517,7 @@ class SicResult(NamedTuple):
 
 
 def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
-        seed: int = 0, force_general: bool = False) -> SicResult:
+        seed: int = 0) -> SicResult:
     """Steering-induced coherence of a bipartite state.
 
     Maximizes the average steered coherence over Alice's projective bases;
@@ -554,12 +540,11 @@ def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
     rng = np.random.default_rng(seed)
     fam = _b_marginal_family(rho)
     if fam.is_trivial:
-        res = _maximize_alice(rho, fam.base, kind, budget, rng,
-                              force_general=force_general)
+        res = _maximize_alice(rho, fam.base, kind, budget, rng)
         alice = UnitaryPoint(rho.dims[0], res.x).basis()
         value = avg_steered_coherence(rho, alice, fam.base, kind)
         return SicResult(value, alice, fam.base, res.converged)
-    return _sic_degenerate(rho, kind, fam, budget, rng, force_general)
+    return _sic_degenerate(rho, kind, fam, budget, rng)
 
 
 def _exact_inner_l1_2q(rho: DensityMatrix):
@@ -571,10 +556,7 @@ def _exact_inner_l1_2q(rho: DensityMatrix):
     over u is the top singular value of P T^t. Used only to steer the outer
     search; the returned witness value always comes from the generic path.
     """
-    tmat_t = np.array(
-        [[np.trace(rho.data @ np.kron(_PAULI[i], _PAULI[j])).real for i in (1, 2, 3)]
-         for j in (1, 2, 3)]
-    )
+    tmat_t = _pauli_coefficients(rho.data)[1:, 1:].T
 
     def value(basis: ProjectiveBasis) -> float:
         v = basis.vectors[0]
@@ -588,19 +570,18 @@ def _exact_inner_l1_2q(rho: DensityMatrix):
 
 
 def _sic_degenerate(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamily,
-                    budget: SearchBudget, rng: np.random.Generator,
-                    force_general: bool) -> SicResult:
+                    budget: SearchBudget, rng: np.random.Generator) -> SicResult:
     da = rho.dims[0]
     incumbent = {"x": None}
     fixed_start = rng.normal(scale=1.2, size=da * da)
     exact_inner = None
-    if kind is DistanceKind.L1 and rho.dims == (2, 2) and not force_general:
+    if kind is DistanceKind.L1 and rho.dims == (2, 2):
         exact_inner = _exact_inner_l1_2q(rho)
 
     def inner_light(basis) -> float:
         if exact_inner is not None:
             return exact_inner(basis)
-        f = _alice_objective(rho, basis, kind, force_general=force_general)
+        f = _alice_objective(rho, basis, kind)
         starts = [np.zeros(da * da), fixed_start]
         if incumbent["x"] is not None:
             starts.insert(0, incumbent["x"])
@@ -625,8 +606,7 @@ def _sic_degenerate(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamil
         best_phi = outer.x
         bob = fam.member(best_phi)
         extra = (incumbent["x"],) if incumbent["x"] is not None else ()
-        final = _maximize_alice(rho, bob, kind, budget, rng, extra_starts=extra,
-                                force_general=force_general)
+        final = _maximize_alice(rho, bob, kind, budget, rng, extra_starts=extra)
         incumbent["x"] = final.x
         converged = outer.converged and final.converged
         if final.value <= outer.value + 1e-6:

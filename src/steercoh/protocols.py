@@ -133,8 +133,14 @@ def werner_state(p: float) -> DensityMatrix:
     return DensityMatrix(data, (2, 2))
 
 
-def product_state(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
-    return tensor_product(rho_a, rho_b)
+def bell_diagonal_state(weights) -> DensityMatrix:
+    """sum_k w_k |B_k><B_k| over the Bell basis Phi+, Phi-, Psi+, Psi-."""
+    if len(weights) != 4:
+        raise ValueError("a Bell-diagonal state takes four weights")
+    kets = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
+                    dtype=complex) / math.sqrt(2.0)
+    data = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    return DensityMatrix(data, (2, 2))
 
 
 # ---------------------------------------------------------------------------

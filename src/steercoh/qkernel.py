@@ -245,13 +245,15 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL):
     return w, v
 
 
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis; entries at or below
+    EIG_FLOOR contribute zero."""
+    return -(x * np.log2(np.where(x > EIG_FLOOR, x, 1.0))).sum(axis=-1)
+
+
 def entropy_of_probs(p) -> float:
     """Shannon entropy in bits; values below EIG_FLOOR contribute zero."""
-    w = np.asarray(p, dtype=float).reshape(-1)
-    w = w[w > EIG_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(max(0.0, -np.sum(w * np.log2(w))))
+    return float(max(0.0, _entropy_rows(np.asarray(p, dtype=float).reshape(-1))))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -51,11 +51,3 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=1)
-
-    def summary_line(self) -> str:
-        flag = "ok" if self.converged else "NOT CONVERGED"
-        return (
-            f"[{self.status}] {self.theorem} ({self.kind}): "
-            f"lhs={self.value_lhs:.9f} rhs={self.value_rhs:.9f} "
-            f"margin={self.margin:+.3e} tol={self.tolerance:.1e} ({flag})"
-        )

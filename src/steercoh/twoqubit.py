@@ -29,6 +29,11 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+# Row 4*i + j is the functional X -> tr(X sigma_i (x) sigma_j) on a row-major
+# flattened 4x4 matrix X, i.e. kron(PAULI[i], PAULI[j]).T flattened.
+_THETA_TABLE = np.array([np.kron(p, q).T.reshape(16) for p in PAULI for q in PAULI])
+_THETA_TABLE.flags.writeable = False
+
 # Bloch vectors shorter than this are treated as zero, switching the closed
 # form to its degenerate branch.
 BLOCH_DEGENERATE = 1e-8
@@ -65,22 +70,20 @@ class PauliTheta:
         return self.theta[1:, 1:]
 
 
+def _pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """Theta_ij = Re tr(m sigma_i (x) sigma_j) of a 4x4 matrix, as a (4, 4) array."""
+    return (_THETA_TABLE @ m.reshape(16)).real.reshape(4, 4)
+
+
 def pauli_decompose(rho: DensityMatrix) -> PauliTheta:
     if rho.dims != (2, 2):
         raise ValueError("pauli_decompose expects a two-qubit state")
-    th = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            th[i, j] = np.trace(rho.data @ np.kron(PAULI[i], PAULI[j])).real
-    return PauliTheta(th)
+    return PauliTheta(_pauli_coefficients(rho.data))
 
 
 def reconstruct(theta: PauliTheta, tol: float = 1e-9) -> DensityMatrix:
-    acc = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            acc += theta.theta[i, j] * np.kron(PAULI[i], PAULI[j])
-    return DensityMatrix(acc / 4.0, (2, 2), tol)
+    acc = _THETA_TABLE.conj().T @ theta.theta.reshape(16)
+    return DensityMatrix(acc.reshape(4, 4) / 4.0, (2, 2), tol)
 
 
 def rotation_from_qubit_unitary(u) -> np.ndarray:

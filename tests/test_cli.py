@@ -125,6 +125,12 @@ def test_compute_validation_exit_codes(tmp_path):
     assert main(["compute", "coherence", "--recipe", big]) == 1  # above dim cap
 
 
+@pytest.mark.parametrize("argv", [["compute", "theta"], ["sweep"], ["sample", "--n", "1"]])
+def test_malformed_recipe_json_exits_one_with_position(argv, capsys):
+    assert main(argv + ["--recipe", "{broken"]) == 1
+    assert "recipe is not valid JSON: line 1 column 2" in capsys.readouterr().err
+
+
 def test_parser_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1

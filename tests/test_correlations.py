@@ -16,6 +16,7 @@ from steercoh import (
     avg_steered_coherence,
     b_side_mid,
     b_side_mid_detail,
+    bell_diagonal_state,
     bell_state,
     coherence,
     dephase,
@@ -31,11 +32,14 @@ from steercoh import (
     verify_theorem1,
     werner_state,
 )
-from steercoh.cli import _bell_diagonal
 from steercoh.correlations import (
-    _alice_objective,
     _b_marginal_family,
     _disturbance_objective,
+    _exact_inner_l1_2q,
+    _maximize_alice,
+    _objective_bloch_2q,
+    _objective_general,
+    _rotate_bob_frame,
 )
 from steercoh.sampling import (
     haar_unitary,
@@ -163,7 +167,7 @@ def test_general_objective_matches_reference():
         rho = random_state_nondegenerate_b(dims, rng)
         bob = _b_marginal_family(rho).base
         for kind in KINDS:
-            f = _alice_objective(rho, bob, kind, force_general=True)
+            f = _objective_general(_rotate_bob_frame(rho, bob), *dims, kind)
             for _ in range(20):
                 pt = UnitaryPoint(dims[0], rng.normal(scale=1.2, size=dims[0] ** 2))
                 ref = avg_steered_coherence(rho, pt.basis(), bob, kind)
@@ -181,20 +185,41 @@ def test_general_objective_skips_zero_probability_outcomes():
         # outcome but the first has probability zero
         alice = UnitaryPoint(da, np.zeros(da * da)).basis()
         for kind in KINDS:
-            f = _alice_objective(rho, bob, kind, force_general=True)
+            f = _objective_general(_rotate_bob_frame(rho, bob), da, 2, kind)
             ref = avg_steered_coherence(rho, alice, bob, kind)
             assert ref > 0.0
             assert abs(f(np.zeros(da * da)) - ref) <= 1e-12
 
 
-def test_sic_general_path_matches_bloch_path():
+def test_bloch_objective_matches_reference_and_general():
     rng = np.random.default_rng(15)
-    for kind in ("r", "l1"):
-        for _ in range(3):
-            rho = random_state_nondegenerate_b((2, 2), rng)
-            bloch = sic(rho, kind, LIGHT, seed=0).value
-            general = sic(rho, kind, LIGHT, seed=0, force_general=True).value
-            assert abs(bloch - general) <= 1e-9
+    rho = random_state_nondegenerate_b((2, 2), rng)
+    bob = _b_marginal_family(rho).base
+    sig = _rotate_bob_frame(rho, bob)
+    for kind in KINDS:
+        bloch = _objective_bloch_2q(sig, kind)
+        general = _objective_general(sig, 2, 2, kind)
+        for _ in range(20):
+            pt = UnitaryPoint(2, rng.normal(scale=1.2, size=4))
+            ref = avg_steered_coherence(rho, pt.basis(), bob, kind)
+            assert abs(bloch(pt.params) - ref) <= 1e-12
+            assert abs(bloch(pt.params) - general(pt.params)) <= 1e-12
+
+
+def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
+    rng = np.random.default_rng(16)
+    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
+    exact = _exact_inner_l1_2q(rho)
+    fam = _b_marginal_family(rho)
+    generous = SearchBudget(starts=8, max_evals=3000)
+    for _ in range(3):
+        bob = fam.member(rng.normal(scale=1.2, size=fam.n_params))
+        top = exact(bob)
+        f = _objective_bloch_2q(_rotate_bob_frame(rho, bob), DistanceKind.L1)
+        for _ in range(200):
+            assert f(rng.normal(scale=1.2, size=4)) <= top + 1e-12
+        best = _maximize_alice(rho, bob, DistanceKind.L1, generous, rng)
+        assert abs(best.value - top) <= 1e-8
 
 
 def test_b_side_mid_of_gap_example():
@@ -267,7 +292,7 @@ def _degenerate_states():
     sigma_a = random_hs_state((3,), rng).data
     return {
         "werner": (werner_state(0.6), False),
-        "bell_diagonal": (_bell_diagonal(rng), False),
+        "bell_diagonal": (bell_diagonal_state(rng.dirichlet(np.ones(4))), False),
         # two-fold degenerate rho_B = I/2, generic rho_A
         "3x2": (_schmidt_mixture(rng, (3, 2), (0.5, 0.5), sigma_a), False),
         # rho_A and rho_B both with a two-fold degenerate top eigenvalue

@@ -14,6 +14,7 @@ from steercoh import (
     SearchBudget,
     StateRecipe,
     apply_kraus,
+    bell_diagonal_state,
     bell_state,
     dephase,
     fourier_basis,
@@ -24,7 +25,6 @@ from steercoh import (
     maximally_mixed,
     partial_trace,
     prepare_protocol_state,
-    product_state,
     ree_numeric,
     regroup_dims,
     rho_x_finding,
@@ -111,9 +111,37 @@ def test_product_state_builds_tensor():
     rng = np.random.default_rng(0)
     a = random_hs_state((2,), rng)
     b = random_hs_state((3,), rng)
-    joint = product_state(a, b)
+    joint = tensor_product(a, b)
     assert joint.dims == (2, 3)
     assert_allclose(joint.data, np.kron(a.data, b.data), atol=1e-12)
+
+
+def test_package_all_is_sorted_unique_and_resolves():
+    import steercoh
+
+    names = steercoh.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(steercoh, name), name
+
+
+def test_bell_diagonal_state_mixes_explicit_bell_projectors():
+    k0, k1 = np.eye(2)
+    kets = [
+        (np.kron(k0, k0) + np.kron(k1, k1)) / math.sqrt(2.0),
+        (np.kron(k0, k0) - np.kron(k1, k1)) / math.sqrt(2.0),
+        (np.kron(k0, k1) + np.kron(k1, k0)) / math.sqrt(2.0),
+        (np.kron(k0, k1) - np.kron(k1, k0)) / math.sqrt(2.0),
+    ]
+    weights = [0.4, 0.3, 0.2, 0.1]
+    rho = bell_diagonal_state(weights)
+    expected = sum(w * np.outer(k, k) for w, k in zip(weights, kets))
+    assert rho.dims == (2, 2)
+    assert_allclose(rho.data, expected, atol=1e-15)
+    assert partial_trace(rho, [1]).close_to(maximally_mixed((2,)), atol=1e-15)
+    with pytest.raises(ValueError):
+        bell_diagonal_state([0.5, 0.5])
 
 
 def test_recipe_round_trip_for_every_kind():
@@ -242,7 +270,7 @@ def test_ree_of_bell_state_is_one():
 
 def test_ree_vanishes_on_separable_states():
     rng = np.random.default_rng(3)
-    prod = product_state(random_hs_state((2,), rng), random_hs_state((2,), rng))
+    prod = tensor_product(random_hs_state((2,), rng), random_hs_state((2,), rng))
     assert ree_numeric(prod, REE_LIGHT, seed=0).value <= 1e-6
     cc = DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), (2, 2))
     assert ree_numeric(cc, REE_LIGHT, seed=0).value <= 1e-9

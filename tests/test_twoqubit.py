@@ -13,6 +13,7 @@ from steercoh import (
     PASS,
     PauliTheta,
     SearchBudget,
+    bell_diagonal_state,
     bell_state,
     bloch_vector,
     canonical_form,
@@ -34,19 +35,19 @@ LIGHT = SearchBudget(starts=6, max_evals=500, outer_starts=4, outer_evals=300,
                      refine_evals=70)
 
 
-def _bell_diagonal(p) -> DensityMatrix:
-    kets = np.array(
-        [
-            [1.0, 0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [0.0, 1.0, -1.0, 0.0],
-        ]
-    ) / math.sqrt(2.0)
-    acc = np.zeros((4, 4), dtype=complex)
-    for w, k in zip(p, kets):
-        acc += w * np.outer(k, k)
-    return DensityMatrix(acc, (2, 2))
+def _pauli_reference(rho) -> np.ndarray:
+    """Theta_ij = Re tr(rho sigma_i (x) sigma_j), one explicit trace per entry."""
+    sig = (
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    th = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            th[i, j] = np.trace(rho.data @ np.kron(sig[i], sig[j])).real
+    return th
 
 
 def test_pauli_decompose_of_bell_state():
@@ -65,6 +66,15 @@ def test_pauli_decompose_requires_two_qubits():
 def test_pauli_theta_shape_validation():
     with pytest.raises(ValueError):
         PauliTheta(np.zeros((3, 3)))
+
+
+def test_pauli_decompose_matches_explicit_traces():
+    rng = np.random.default_rng(2)
+    states = [random_hs_state((2, 2), rng) for _ in range(20)]
+    states += [werner_state(p) for p in (-1.0 / 3.0, 0.2, 0.6, 1.0)]
+    states += [bell_diagonal_state(rng.dirichlet(np.ones(4))) for _ in range(5)]
+    for rho in states:
+        assert np.abs(pauli_decompose(rho).theta - _pauli_reference(rho)).max() <= 1e-15
 
 
 def test_pauli_round_trip():
@@ -159,7 +169,7 @@ def test_canonical_form_requires_nonzero_b():
 
 
 def test_diagonal_form_sorts_magnitudes():
-    rho = _bell_diagonal([0.45, 0.3, 0.15, 0.1])
+    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
     di = diagonal_form(pauli_decompose(rho))
     t = np.diagonal(di.tmat)
     off = di.tmat - np.diag(t)
@@ -246,7 +256,7 @@ def test_verify_theorem3_on_generic_state():
 
 
 def test_verify_theorem3_on_bell_diagonal_state():
-    rho = _bell_diagonal([0.45, 0.3, 0.15, 0.1])
+    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
     rep = verify_theorem3(rho, LIGHT, seed=0)
     assert rep.status == PASS
     assert rep.converged
