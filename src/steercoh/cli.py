@@ -79,16 +79,15 @@ SEARCH_TOL = 1e-6
 
 # Ensemble budgets tuned so the verify examples finish in minutes; --budget
 # overrides the evaluation caps.
+_MINIMAX_BUDGET = SearchBudget(starts=6, max_evals=500, outer_starts=4,
+                               outer_evals=300, refine_evals=70)
 SUITE_BUDGETS = {
     "thm1": SearchBudget(starts=8, max_evals=800),
     "thm2": SearchBudget(starts=6, max_evals=600),
-    "thm3": SearchBudget(starts=6, max_evals=500, outer_starts=4,
-                         outer_evals=300, refine_evals=70),
+    "thm3": _MINIMAX_BUDGET,
     "cor1": SearchBudget(starts=8, max_evals=800),
-    "props": SearchBudget(starts=6, max_evals=500, outer_starts=4,
-                          outer_evals=300, refine_evals=70),
-    "sweep": SearchBudget(starts=6, max_evals=500, outer_starts=4,
-                          outer_evals=300, refine_evals=70),
+    "props": _MINIMAX_BUDGET,
+    "sweep": _MINIMAX_BUDGET,
 }
 
 

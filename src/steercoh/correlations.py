@@ -7,9 +7,14 @@ The two headline quantities for a bipartite state rho_AB:
 * sic: the B-side eigenbasis infimum of the best average coherence Alice can
   steer into Bob's lab by measuring her side projectively.
 
-Inner maximizations run a multi-start derivative-free local search over a
-unitary parametrized by a Hermitian generator (UnitaryPoint). Degenerate
-marginals add an outer minimization over block rotations of the eigenbasis.
+Both are optima over bases, and every search runs over bases directly.
+Each start is a frame U0 (kets as columns), and a derivative-free local
+search moves in the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the
+G_k are the d*d - d off-diagonal generalized Gell-Mann matrices: one
+coordinate per direction of the set of bases, none that only rephases a
+ket. Alice's starts are the identity, the Fourier basis and Haar-random
+frames. Degenerate marginals add an outer minimization over the same chart
+on each degenerate block of the eigenbasis.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import schur
 from scipy.optimize import minimize
 
 from .measures import DistanceKind, coherence, distance
@@ -39,6 +43,7 @@ from .qkernel import (
 )
 from .report import FAIL, PASS, VerificationReport
 from .sampling import (
+    haar_unitary,
     random_b_classical,
     random_permutation_phase_kraus,
     random_state_nondegenerate_b,
@@ -76,78 +81,32 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 # ---------------------------------------------------------------------------
-# unitary parametrization
+# basis chart
 
 
 @lru_cache(maxsize=32)
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis: identity plus generalized Gell-Mann."""
-    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
+def _offdiagonal_generators(d: int) -> np.ndarray:
+    """The d*d - d off-diagonal generalized Gell-Mann matrices (orthonormal),
+    each flattened to a row: shape (d*d - d, d*d); read-only."""
+    s = 1.0 / math.sqrt(2.0)
+    gens = np.zeros((d * d - d, d, d), dtype=complex)
+    k = 0
     for i in range(d):
         for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2.0)
-            m[j, i] = 1j / math.sqrt(2.0)
-            mats.append(m)
-    for k in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(k), np.arange(k)] = 1.0
-        m[k, k] = -k
-        mats.append(m / math.sqrt(k * (k + 1)))
-    out = np.stack(mats)
+            gens[k, i, j] = gens[k, j, i] = s
+            gens[k + 1, i, j], gens[k + 1, j, i] = -1j * s, 1j * s
+            k += 2
+    out = gens.reshape(d * d - d, d * d)
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=32)
-def _traceless_generators(d: int) -> np.ndarray:
-    """The d*d - 1 traceless members of _hermitian_basis(d), each flattened
-    to a row: shape (d*d - 1, d*d); a read-only view."""
-    return _hermitian_basis(d)[1:].reshape(d * d - 1, d * d)
-
-
-@dataclass(frozen=True)
-class UnitaryPoint:
-    """Point in the search space: dim**2 real parameters mapped to a special
-    unitary through the exponential of a traceless Hermitian generator.
-
-    params are coefficients over _hermitian_basis(dim); params[0], the
-    identity component, only adds a global phase and is ignored."""
-
-    dim: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.params, dtype=float).reshape(-1).copy()
-        if p.size != self.dim * self.dim:
-            raise ValueError(f"expected {self.dim ** 2} parameters, got {p.size}")
-        p.flags.writeable = False
-        object.__setattr__(self, "params", p)
-
-    def realize(self) -> np.ndarray:
-        return _realize_unitary(self.dim, self.params)
-
-    def basis(self) -> ProjectiveBasis:
-        return ProjectiveBasis.from_columns(self.realize())
-
-    @classmethod
-    def from_unitary(cls, u) -> "UnitaryPoint":
-        u = np.asarray(u, dtype=complex)
-        d = u.shape[0]
-        t, z = schur(u, output="complex")
-        phases = np.angle(np.diagonal(t))
-        h = (z * phases) @ z.conj().T
-        h = (h + h.conj().T) / 2.0
-        gens = _hermitian_basis(d)
-        params = np.einsum("kij,ji->k", gens, h).real
-        return cls(d, params)
-
-
-def _realize_unitary(d: int, params: np.ndarray) -> np.ndarray:
-    h = (params[1:] @ _traceless_generators(d)).reshape(d, d)
+def _chart_unitary(d: int, x: np.ndarray) -> np.ndarray:
+    """exp(i sum_k x_k G_k) over the off-diagonal generators. A basis search
+    centred on a frame U0 (kets as columns) visits U0 @ _chart_unitary(d, x)
+    from x = 0; the d*d - d coordinates leave no direction that only moves
+    the phases of the kets."""
+    h = (x @ _offdiagonal_generators(d)).reshape(d, d)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
@@ -160,11 +119,6 @@ def fourier_basis(d: int) -> ProjectiveBasis:
     return ProjectiveBasis(vecs)
 
 
-@lru_cache(maxsize=32)
-def _fourier_params(d: int) -> np.ndarray:
-    return UnitaryPoint.from_unitary(fourier_basis(d).matrix).params
-
-
 # ---------------------------------------------------------------------------
 # eigenbasis families
 
@@ -173,8 +127,9 @@ def _fourier_params(d: int) -> np.ndarray:
 class EigenbasisFamily:
     """All eigenbases of a Hermitian matrix, up to irrelevant phases.
 
-    Blocks group eigenvalue clusters (within EPS_DEG). Clusters of size >= 2
-    carrying actual weight contribute block-rotation parameters; clusters at
+    Blocks group eigenvalue clusters (within EPS_DEG). Clusters of size
+    m >= 2 carrying actual weight contribute m*m - m chart coordinates each
+    (a rotation of the block, centred on the base eigenbasis); clusters at
     eigenvalue zero are skipped because their projectors annihilate the state.
     """
 
@@ -204,7 +159,7 @@ class EigenbasisFamily:
 
     @property
     def n_params(self) -> int:
-        return sum(len(blk) ** 2 for blk in self.active_blocks)
+        return sum(len(blk) * (len(blk) - 1) for blk in self.active_blocks)
 
     @property
     def is_trivial(self) -> bool:
@@ -224,10 +179,10 @@ class EigenbasisFamily:
         off = 0
         for blk in self.active_blocks:
             m = len(blk)
-            u = _realize_unitary(m, params[off:off + m * m])
+            n = m * m - m
             idx = slice(blk[0], blk[-1] + 1)  # clusters are runs of sorted eigenvalues
-            cols[:, idx] = cols[:, idx] @ u
-            off += m * m
+            cols[:, idx] = cols[:, idx] @ _chart_unitary(m, params[off:off + n])
+            off += n
         return cols
 
 
@@ -247,15 +202,18 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _rotate_bob_frame(rho: DensityMatrix, bob_basis: ProjectiveBasis) -> np.ndarray:
-    da = rho.dims[0]
-    big = np.kron(np.eye(da), bob_basis.matrix)
-    return big.conj().T @ rho.data @ big
+def _rotated(data: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """v^dag data v for v = ua (x) ub, a bipartite frame change; the product
+    is formed by broadcasting."""
+    v = (ua[:, None, :, None] * ub[None, :, None, :]).reshape(data.shape)
+    return v.conj().T @ data @ v
 
 
 def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
-    """Two-qubit objective in Bloch form; Bob's reference basis is the z axis
-    of the (already rotated) frame."""
+    """Two-qubit objective in Bloch form on the (already rotated) frame:
+    Bob's reference basis is the z axis, and chart point x puts Alice's
+    first ket at u = (-n_y sin 2h, n_x sin 2h, cos 2h), where
+    h (n_x, n_y) = x / sqrt(2)."""
     th = _pauli_coefficients(sig)
     a, b = th[1:, 0], th[0, 1:]
     tmat_t = th[1:, 1:].T  # transpose of the correlation matrix
@@ -263,19 +221,13 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
     is_l1 = kind is DistanceKind.L1
 
     def f(params):
-        hx, hy, hz = params[1] / s2, params[2] / s2, params[3] / s2
-        h = math.sqrt(hx * hx + hy * hy + hz * hz)
+        hx, hy = params[0] / s2, params[1] / s2
+        h = math.sqrt(hx * hx + hy * hy)
         if h < 1e-12:
-            ux, uy, uz = 0.0, 0.0, 1.0
+            u = np.array([0.0, 0.0, 1.0])
         else:
-            c, s = math.cos(h), math.sin(h)
-            nx, ny, nz = hx / h, hy / h, hz / h
-            alpha = complex(c, s * nz)
-            beta = complex(-s * ny, s * nx)
-            ab = alpha.conjugate() * beta
-            ux, uy = 2.0 * ab.real, 2.0 * ab.imag
-            uz = (alpha.real ** 2 + alpha.imag ** 2) - (beta.real ** 2 + beta.imag ** 2)
-        u = np.array([ux, uy, uz])
+            s = math.sin(2.0 * h) / h
+            u = np.array([-hy * s, hx * s, math.cos(2.0 * h)])
         tu = tmat_t @ u
         au = float(a @ u)
         total = 0.0
@@ -303,7 +255,7 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
     is_l1 = kind is DistanceKind.L1
 
     def f(params):
-        u = _realize_unitary(da, params)
+        u = _chart_unitary(da, params)
         w = (u.conj()[:, None, :] * u[None, :, :]).reshape(da * da, da)
         # row i is outcome i's unnormalised steered state, flattened
         m = w.T @ amat
@@ -332,9 +284,13 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
     return f
 
 
-def _alice_objective(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: DistanceKind):
-    """Bloch form for two qubits (cheaper per evaluation), general otherwise."""
-    sig = _rotate_bob_frame(rho, bob_basis)
+def _alice_objective(rho: DensityMatrix, frame: np.ndarray, bob: np.ndarray,
+                     kind: DistanceKind):
+    """Objective x -> average steered coherence at Alice's basis
+    frame @ _chart_unitary(da, x), against Bob's reference basis `bob` (both
+    unitaries, kets as columns). Bloch form for two qubits (cheaper per
+    evaluation), general otherwise."""
+    sig = _rotated(rho.data, frame, bob)
     if rho.dims == (2, 2):
         return _objective_bloch_2q(sig, kind)
     return _objective_general(sig, *rho.dims, kind)
@@ -365,12 +321,14 @@ class _SearchOutcome(NamedTuple):
     x: np.ndarray
     converged: bool
     evals: int
+    run: int  # index of the run that reached the value
 
 
-def _multistart_minimize(fn, starts, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
+def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
+    """Powell from each (fn, x0) of runs; the best outcome."""
     best = None
     total = 0
-    for idx, x0 in enumerate(starts):
+    for idx, (fn, x0) in enumerate(runs):
         res = minimize(
             fn,
             np.asarray(x0, dtype=float),
@@ -379,29 +337,28 @@ def _multistart_minimize(fn, starts, max_evals, xtol=1e-7, ftol=1e-11) -> _Searc
         )
         total += res.nfev
         # ties broken by start order: strict < keeps the earliest
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), np.asarray(res.x, dtype=float), bool(res.success))
-    return _SearchOutcome(best[0], best[1], best[2], total)
+        if best is None or res.fun < best.value:
+            best = _SearchOutcome(float(res.fun), np.asarray(res.x, dtype=float),
+                                  bool(res.success), 0, idx)
+    return best._replace(evals=total)
 
 
-def _alice_starts(da: int, budget: SearchBudget, rng: np.random.Generator,
-                  extra=()) -> list:
-    n = da * da
-    starts = [np.zeros(n), np.asarray(_fourier_params(da), dtype=float)]
-    for e in extra:
-        starts.append(np.asarray(e, dtype=float))
-    while len(starts) < budget.starts:
-        starts.append(rng.normal(scale=1.2, size=n))
-    return starts
-
-
-def _maximize_alice(rho: DensityMatrix, bob_basis: ProjectiveBasis, kind: DistanceKind,
+def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
                     budget: SearchBudget, rng: np.random.Generator,
-                    extra_starts=()) -> _SearchOutcome:
-    f = _alice_objective(rho, bob_basis, kind)
-    starts = _alice_starts(rho.dims[0], budget, rng, extra_starts)
-    res = _multistart_minimize(lambda x: -f(x), starts, budget.max_evals)
-    return _SearchOutcome(-res.value, res.x, res.converged, res.evals)
+                    warm=()) -> _SearchOutcome:
+    """Best Alice basis against Bob's reference basis `bob`, searched in the
+    chart around each start frame; x of the outcome is the achieving unitary
+    (kets as columns). `warm` frames join the identity and Fourier frames."""
+    da = rho.dims[0]
+    frames = [np.eye(da, dtype=complex), fourier_basis(da).matrix, *warm]
+    while len(frames) < budget.starts:
+        frames.append(haar_unitary(da, rng))
+    origin = np.zeros(da * da - da)
+    res = _multistart_minimize(
+        (((lambda x, f=_alice_objective(rho, u, bob, kind): -f(x)), origin)
+         for u in frames),
+        budget.max_evals)
+    return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +382,7 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     def obj(phi):
         ua = eye_a if fam_a is None else fam_a._columns(phi[:na])
         ub = fam_b._columns(phi[na:])
-        v = (ua[:, None, :, None] * ub[None, :, None, :]).reshape(data.shape)
-        rot = v.conj().T @ data @ v
+        rot = _rotated(data, ua, ub)
         if is_r:
             return max(0.0, float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho)
         return float(np.abs(np.linalg.eigvalsh(rot - rot * keep)).sum())
@@ -440,12 +396,13 @@ def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     obj = _disturbance_objective(rho, fam_a, fam_b, kind)
     n = fam_b.n_params + (0 if fam_a is None else fam_a.n_params)
     if n == 0:
-        return _SearchOutcome(obj(np.zeros(0)), np.zeros(0), True, 1)
+        return _SearchOutcome(obj(np.zeros(0)), np.zeros(0), True, 1, 0)
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n)]
     while len(starts) < budget.outer_starts:
         starts.append(rng.normal(scale=1.2, size=n))
-    return _multistart_minimize(obj, starts, budget.outer_evals, xtol=1e-8, ftol=1e-13)
+    return _multistart_minimize(((obj, x0) for x0 in starts), budget.outer_evals,
+                                xtol=1e-8, ftol=1e-13)
 
 
 def _check_mid_args(rho: DensityMatrix, kind, name: str) -> DistanceKind:
@@ -540,8 +497,8 @@ def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
     rng = np.random.default_rng(seed)
     fam = _b_marginal_family(rho)
     if fam.is_trivial:
-        res = _maximize_alice(rho, fam.base, kind, budget, rng)
-        alice = UnitaryPoint(rho.dims[0], res.x).basis()
+        res = _maximize_alice(rho, fam.base.matrix, kind, budget, rng)
+        alice = ProjectiveBasis.from_columns(res.x)
         value = avg_steered_coherence(rho, alice, fam.base, kind)
         return SicResult(value, alice, fam.base, res.converged)
     return _sic_degenerate(rho, kind, fam, budget, rng)
@@ -558,8 +515,8 @@ def _exact_inner_l1_2q(rho: DensityMatrix):
     """
     tmat_t = _pauli_coefficients(rho.data)[1:, 1:].T
 
-    def value(basis: ProjectiveBasis) -> float:
-        v = basis.vectors[0]
+    def value(bob: np.ndarray) -> float:
+        v = bob[:, 0]
         rho01 = v[0] * np.conj(v[1])
         n = np.array([2.0 * rho01.real, -2.0 * rho01.imag,
                       abs(v[0]) ** 2 - abs(v[1]) ** 2])
@@ -572,28 +529,30 @@ def _exact_inner_l1_2q(rho: DensityMatrix):
 def _sic_degenerate(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamily,
                     budget: SearchBudget, rng: np.random.Generator) -> SicResult:
     da = rho.dims[0]
-    incumbent = {"x": None}
-    fixed_start = rng.normal(scale=1.2, size=da * da)
+    # the best Alice unitary so far, the first frame of every later search
+    incumbent = {"u": None}
+    fixed_frame = haar_unitary(da, rng)
+    origin = np.zeros(da * da - da)
     exact_inner = None
     if kind is DistanceKind.L1 and rho.dims == (2, 2):
         exact_inner = _exact_inner_l1_2q(rho)
 
-    def inner_light(basis) -> float:
+    def inner_light(bob: np.ndarray) -> float:
         if exact_inner is not None:
-            return exact_inner(basis)
-        f = _alice_objective(rho, basis, kind)
-        starts = [np.zeros(da * da), fixed_start]
-        if incumbent["x"] is not None:
-            starts.insert(0, incumbent["x"])
-        res = _multistart_minimize(lambda x: -f(x), starts, budget.refine_evals,
-                                   xtol=1e-6, ftol=1e-10)
-        incumbent["x"] = res.x
+            return exact_inner(bob)
+        frames = [np.eye(da, dtype=complex), fixed_frame]
+        if incumbent["u"] is not None:
+            frames.insert(0, incumbent["u"])
+        res = _multistart_minimize(
+            (((lambda x, f=_alice_objective(rho, u, bob, kind): -f(x)), origin)
+             for u in frames),
+            budget.refine_evals, xtol=1e-6, ftol=1e-10)
+        incumbent["u"] = frames[res.run] @ _chart_unitary(da, res.x)
         return -res.value
 
     def outer_obj(phi):
-        return inner_light(fam.member(phi))
+        return inner_light(fam._columns(phi))
 
-    value = np.inf
     best_phi = np.zeros(fam.n_params)
     converged = False
     final = None
@@ -601,20 +560,19 @@ def _sic_degenerate(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamil
         starts = [best_phi]
         while len(starts) < budget.outer_starts:
             starts.append(rng.normal(scale=1.2, size=fam.n_params))
-        outer = _multistart_minimize(outer_obj, starts, budget.outer_evals,
-                                     xtol=1e-7, ftol=1e-11)
+        outer = _multistart_minimize(((outer_obj, x0) for x0 in starts),
+                                     budget.outer_evals, xtol=1e-7, ftol=1e-11)
         best_phi = outer.x
-        bob = fam.member(best_phi)
-        extra = (incumbent["x"],) if incumbent["x"] is not None else ()
-        final = _maximize_alice(rho, bob, kind, budget, rng, extra_starts=extra)
-        incumbent["x"] = final.x
+        warm = (incumbent["u"],) if incumbent["u"] is not None else ()
+        final = _maximize_alice(rho, fam._columns(best_phi), kind, budget, rng, warm)
+        incumbent["u"] = final.x
         converged = outer.converged and final.converged
         if final.value <= outer.value + 1e-6:
             break
         # the light inner pass underestimated the max at the chosen basis;
         # rerun the outer search with the improved incumbent
     bob = fam.member(best_phi)
-    alice = UnitaryPoint(da, final.x).basis()
+    alice = ProjectiveBasis.from_columns(final.x)
     value = avg_steered_coherence(rho, alice, bob, kind)
     converged = converged and abs(value - final.value) <= 1e-7
     return SicResult(value, alice, bob, converged)
@@ -652,7 +610,7 @@ def verify_theorem1(rho: DensityMatrix, kind="r", budget: SearchBudget | None = 
 def _aligned_to_b_eigenbasis(rho: DensityMatrix) -> DensityMatrix:
     """Rotate Bob's side so rho_B is diagonal (sic, b_side_mid and the other
     quantities with basis-covariant definitions are invariant under this)."""
-    sig = _rotate_bob_frame(rho, _b_marginal_family(rho).base)
+    sig = _rotated(rho.data, np.eye(rho.dims[0]), _b_marginal_family(rho).base.matrix)
     return DensityMatrix(sig, rho.dims, rho.tol)
 
 

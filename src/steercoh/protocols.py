@@ -364,7 +364,7 @@ def ree_numeric(rho: DensityMatrix, budget: SearchBudget | None = None,
         s = rng.normal(scale=1.0, size=40)
         s[:8] = rng.normal(scale=0.5, size=8)
         starts.append(s)
-    res = _multistart_minimize(objective, starts, budget.max_evals,
+    res = _multistart_minimize(((objective, s) for s in starts), budget.max_evals,
                                xtol=1e-6, ftol=1e-10)
     return ReeResult(max(0.0, res.value), res.converged)
 

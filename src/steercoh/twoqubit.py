@@ -90,12 +90,9 @@ def rotation_from_qubit_unitary(u) -> np.ndarray:
     """SO(3) rotation R with U sigma_k U^dag = sum_i R_ik sigma_i, so local
     unitaries transform the blocks as a -> R_A a, b -> R_B b, T -> R_A T R_B^T."""
     u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for k in range(3):
-        m = u @ PAULI[k + 1] @ u.conj().T
-        for i in range(3):
-            r[i, k] = 0.5 * np.trace(PAULI[i + 1] @ m).real
-    return r
+    sigma = np.array(PAULI[1:])
+    m = u @ sigma @ u.conj().T  # U sigma_k U^dag, stacked over k
+    return 0.5 * np.einsum("iba,kab->ik", sigma, m).real
 
 
 def qubit_unitary_from_rotation(r) -> np.ndarray:

@@ -12,7 +12,6 @@ from steercoh import (
     PASS,
     ProjectiveBasis,
     SearchBudget,
-    UnitaryPoint,
     avg_steered_coherence,
     b_side_mid,
     b_side_mid_detail,
@@ -34,12 +33,13 @@ from steercoh import (
 )
 from steercoh.correlations import (
     _b_marginal_family,
+    _chart_unitary,
     _disturbance_objective,
     _exact_inner_l1_2q,
     _maximize_alice,
     _objective_bloch_2q,
     _objective_general,
-    _rotate_bob_frame,
+    _rotated,
 )
 from steercoh.sampling import (
     haar_unitary,
@@ -70,32 +70,45 @@ def test_fourier_basis_is_unbiased():
         assert_allclose(overlaps, np.full((d, d), 1.0 / d), atol=1e-12)
 
 
-def test_unitary_point_zero_params_is_identity():
-    pt = UnitaryPoint(3, np.zeros(9))
-    assert_allclose(pt.realize(), np.eye(3), atol=1e-12)
-
-
-def test_unitary_point_realizes_unitaries():
+def test_chart_origin_is_the_frame():
     rng = np.random.default_rng(0)
-    for d in (2, 3):
-        pt = UnitaryPoint(d, rng.normal(size=d * d))
-        u = pt.realize()
-        assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-10)
-    with pytest.raises(ValueError):
-        UnitaryPoint(2, np.zeros(3))
-
-
-def test_unitary_point_from_unitary_round_trip():
-    rng = np.random.default_rng(1)
     for d in (2, 3, 4):
-        u = haar_unitary(d, rng)
-        v = UnitaryPoint.from_unitary(u).realize()
-        m = u.conj().T @ v
-        # equal up to a global phase
-        off = m - np.diag(np.diagonal(m))
-        assert np.abs(off).max() <= 1e-9
-        assert_allclose(np.abs(np.diagonal(m)), 1.0, atol=1e-9)
-        assert np.abs(np.diagonal(m) - m[0, 0]).max() <= 1e-9
+        frame = haar_unitary(d, rng)
+        assert_allclose(frame @ _chart_unitary(d, np.zeros(d * d - d)), frame,
+                        atol=1e-12)
+
+
+def test_chart_realizes_unitaries():
+    rng = np.random.default_rng(0)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            u = _chart_unitary(d, rng.normal(scale=1.2, size=d * d - d))
+            assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+
+
+def _projectors(u: np.ndarray) -> np.ndarray:
+    """The basis {|u_k><u_k|} of the columns of u, as one real vector."""
+    p = np.einsum("ik,jk->kij", u, u.conj()).reshape(-1)
+    return np.concatenate([p.real, p.imag])
+
+
+def test_chart_has_no_dead_directions():
+    # every chart coordinate moves the basis: the Jacobian of
+    # x -> {|u_k><u_k|} has full column rank d*d - d at generic points
+    rng = np.random.default_rng(1)
+    h = 1e-6
+    for d in (2, 3, 4):
+        n = d * d - d
+        for _ in range(3):
+            frame = haar_unitary(d, rng)
+            x = rng.normal(scale=1.2, size=n)
+            jac = np.array([
+                _projectors(frame @ _chart_unitary(d, x + h * e))
+                - _projectors(frame @ _chart_unitary(d, x - h * e))
+                for e in np.eye(n)
+            ]).T / (2 * h)
+            sv = np.linalg.svd(jac, compute_uv=False)
+            assert np.sum(sv > 1e-6 * sv[0]) == n
 
 
 def test_eigenbasis_family_trivial_for_simple_spectrum():
@@ -107,15 +120,15 @@ def test_eigenbasis_family_trivial_for_simple_spectrum():
 
 def test_eigenbasis_family_block_parameters():
     fam = EigenbasisFamily.from_matrix(np.eye(2) / 2.0)
-    assert fam.n_params == 4
+    assert fam.n_params == 2
     fam2 = EigenbasisFamily.from_matrix(np.diag([0.35, 0.35, 0.3]))
-    assert fam2.n_params == 4
+    assert fam2.n_params == 2
 
 
 def test_eigenbasis_family_skips_null_space():
     # the kernel block carries no weight, so its rotations are irrelevant
     fam = EigenbasisFamily.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
-    assert fam.n_params == 4
+    assert fam.n_params == 2
     assert len(fam.blocks) == 2
 
 
@@ -124,9 +137,9 @@ def test_eigenbasis_family_members_diagonalize():
     u = haar_unitary(4, rng)
     m = u @ np.diag([0.4, 0.4, 0.15, 0.05]) @ u.conj().T
     fam = EigenbasisFamily.from_matrix(m)
-    assert fam.n_params == 4
+    assert fam.n_params == 2
     for _ in range(5):
-        basis = fam.member(rng.normal(size=4))
+        basis = fam.member(rng.normal(size=2))
         v = basis.matrix
         assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
         rotated = v.conj().T @ m @ v
@@ -161,17 +174,24 @@ def test_avg_steered_coherence_matches_manual_sum():
 KINDS = (DistanceKind.RELATIVE_ENTROPY, DistanceKind.L1)
 
 
+def _frame_points(rng, da, n=20):
+    """Seeded (frame, x) pairs and the Alice basis frame @ chart(x) of each."""
+    for _ in range(n):
+        frame = haar_unitary(da, rng)
+        x = rng.normal(scale=1.2, size=da * da - da)
+        yield frame, x, ProjectiveBasis.from_columns(frame @ _chart_unitary(da, x))
+
+
 def test_general_objective_matches_reference():
     rng = np.random.default_rng(13)
     for dims in ((2, 2), (3, 2), (2, 3), (3, 3)):
         rho = random_state_nondegenerate_b(dims, rng)
         bob = _b_marginal_family(rho).base
         for kind in KINDS:
-            f = _objective_general(_rotate_bob_frame(rho, bob), *dims, kind)
-            for _ in range(20):
-                pt = UnitaryPoint(dims[0], rng.normal(scale=1.2, size=dims[0] ** 2))
-                ref = avg_steered_coherence(rho, pt.basis(), bob, kind)
-                assert abs(f(pt.params) - ref) <= 1e-12
+            for frame, x, alice in _frame_points(rng, dims[0]):
+                f = _objective_general(_rotated(rho.data, frame, bob.matrix), *dims, kind)
+                ref = avg_steered_coherence(rho, alice, bob, kind)
+                assert abs(f(x) - ref) <= 1e-12
 
 
 def test_general_objective_skips_zero_probability_outcomes():
@@ -181,29 +201,27 @@ def test_general_objective_skips_zero_probability_outcomes():
         ket0[0, 0] = 1.0
         rho = tensor_product(DensityMatrix(ket0, (da,)), random_hs_state((2,), rng))
         bob = ProjectiveBasis.computational(2)
-        # at zero params Alice measures in the computational basis, so every
-        # outcome but the first has probability zero
-        alice = UnitaryPoint(da, np.zeros(da * da)).basis()
+        # at the origin of the identity frame Alice measures in the
+        # computational basis, so every outcome but the first has probability zero
+        alice = ProjectiveBasis.computational(da)
         for kind in KINDS:
-            f = _objective_general(_rotate_bob_frame(rho, bob), da, 2, kind)
+            f = _objective_general(_rotated(rho.data, np.eye(da), bob.matrix), da, 2, kind)
             ref = avg_steered_coherence(rho, alice, bob, kind)
             assert ref > 0.0
-            assert abs(f(np.zeros(da * da)) - ref) <= 1e-12
+            assert abs(f(np.zeros(da * da - da)) - ref) <= 1e-12
 
 
 def test_bloch_objective_matches_reference_and_general():
     rng = np.random.default_rng(15)
     rho = random_state_nondegenerate_b((2, 2), rng)
     bob = _b_marginal_family(rho).base
-    sig = _rotate_bob_frame(rho, bob)
     for kind in KINDS:
-        bloch = _objective_bloch_2q(sig, kind)
-        general = _objective_general(sig, 2, 2, kind)
-        for _ in range(20):
-            pt = UnitaryPoint(2, rng.normal(scale=1.2, size=4))
-            ref = avg_steered_coherence(rho, pt.basis(), bob, kind)
-            assert abs(bloch(pt.params) - ref) <= 1e-12
-            assert abs(bloch(pt.params) - general(pt.params)) <= 1e-12
+        for frame, x, alice in _frame_points(rng, 2):
+            sig = _rotated(rho.data, frame, bob.matrix)
+            bloch = _objective_bloch_2q(sig, kind)
+            ref = avg_steered_coherence(rho, alice, bob, kind)
+            assert abs(bloch(x) - ref) <= 1e-12
+            assert abs(bloch(x) - _objective_general(sig, 2, 2, kind)(x)) <= 1e-12
 
 
 def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
@@ -213,11 +231,11 @@ def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
     fam = _b_marginal_family(rho)
     generous = SearchBudget(starts=8, max_evals=3000)
     for _ in range(3):
-        bob = fam.member(rng.normal(scale=1.2, size=fam.n_params))
+        bob = fam.member(rng.normal(scale=1.2, size=fam.n_params)).matrix
         top = exact(bob)
-        f = _objective_bloch_2q(_rotate_bob_frame(rho, bob), DistanceKind.L1)
+        f = _objective_bloch_2q(_rotated(rho.data, np.eye(2), bob), DistanceKind.L1)
         for _ in range(200):
-            assert f(rng.normal(scale=1.2, size=4)) <= top + 1e-12
+            assert f(rng.normal(scale=1.2, size=2)) <= top + 1e-12
         best = _maximize_alice(rho, bob, DistanceKind.L1, generous, rng)
         assert abs(best.value - top) <= 1e-8
 
