@@ -8,13 +8,16 @@ The two headline quantities for a bipartite state rho_AB:
   steer into Bob's lab by measuring her side projectively.
 
 Both are optima over bases, and every search runs over bases directly.
-Each start is a frame U0 (kets as columns), and a derivative-free local
-search moves in the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the
-G_k are the d*d - d off-diagonal generalized Gell-Mann matrices: one
-coordinate per direction of the set of bases, none that only rephases a
-ket. Alice's starts are the identity, the Fourier basis and Haar-random
-frames. Degenerate marginals add an outer minimization over the same chart
-on each degenerate block of the eigenbasis.
+Each start is a frame U0 (kets as columns), and a local search moves in
+the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the G_k are the
+d*d - d off-diagonal generalized Gell-Mann matrices: one coordinate per
+direction of the set of bases, none that only rephases a ket. Alice's
+starts are the identity, the Fourier basis and Haar-random frames. The
+general Alice objective supplies an analytic gradient in these
+coordinates and is maximized by L-BFGS-B; the two-qubit Bloch objective
+and the disturbance and eigenbasis searches run Powell. Degenerate
+marginals add an outer minimization over the same chart on each
+degenerate block of the eigenbasis.
 """
 
 from __future__ import annotations
@@ -62,12 +65,15 @@ class ComparabilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Evaluation budgets for the derivative-free searches.
+    """Evaluation budgets for the multistart searches.
 
     starts / max_evals control the inner (Alice basis) maximization;
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
-    search explores.
+    search explores. Where the Alice objective supplies a gradient (every
+    dims but 2x2) L-BFGS-B runs and max_evals / refine_evals cap its
+    value+gradient calls; every other search is Powell, capped in value
+    calls.
     """
 
     starts: int = 32
@@ -249,37 +255,61 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
 
 
 def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
+    """Objective x -> (value, gradient) at Alice's basis _chart_unitary(da, x)
+    on the (already rotated) frame, for any dims.
+
+    Each outcome's term F(m_i) of the unnormalised steered state m_i is
+    homogeneous of degree one, so dF = tr(dm_i G_i) with G_i = log2 rho_i -
+    log2 Delta(rho_i) for kind 'r' and the phases m_i / |m_i| off the
+    diagonal for 'l1'. Since m_i is quadratic in Alice's ket u_i, the
+    gradient in the kets is M[:, i] = 2 K_i u_i with K_i = tr_B(sig (1 x G_i));
+    the Daleckii-Krein formula on the chart's eigh pulls it back to x.
+    """
     # amat[(a,c),(b,d)] = sig[(a,b),(c,d)]: Alice's index pair on the rows
     amat = sig.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     diag = slice(None, None, db + 1)  # diagonal of a flattened db x db block
     is_l1 = kind is DistanceKind.L1
+    gens = _offdiagonal_generators(da)
+    gens_conj = gens.conj()
 
     def f(params):
-        u = _chart_unitary(da, params)
+        # _chart_unitary(da, params), keeping its eigh for the gradient
+        hw, hv = np.linalg.eigh((params @ gens).reshape(da, da))
+        u = (hv * np.exp(1j * hw)) @ hv.conj().T
         w = (u.conj()[:, None, :] * u[None, :, :]).reshape(da * da, da)
         # row i is outcome i's unnormalised steered state, flattened
         m = w.T @ amat
         ps = m[:, diag].real.sum(axis=1)
+        # outcomes below ZERO_PROB keep a finite placeholder state and add
+        # neither value nor gradient
         good = ps >= ZERO_PROB
-        if not good.all():
-            if not good.any():
-                return 0.0
-            m, ps = m[good], ps[good]
-        mn = m / ps[:, None]
+        mn = m / np.where(good, ps, 1.0)[:, None]
         if is_l1:
             mag = np.abs(mn)
             per = mag.sum(axis=1) - mag[:, diag].sum(axis=1)
+            g = np.divide(mn, mag, out=np.zeros_like(mn), where=mag > EIG_FLOOR)
+            g[:, diag] = 0.0
         else:
-            if db == 2:
-                purity = (mn.real ** 2 + mn.imag ** 2).sum(axis=1)
-                r = np.sqrt(np.maximum(2.0 * purity - 1.0, 0.0))
-                lam = 0.5 + np.multiply.outer(r, (0.5, -0.5))
-            else:
-                lam = np.linalg.eigvalsh(mn.reshape(-1, db, db))
+            lam, vec = np.linalg.eigh(mn.reshape(da, db, db))
             spectra = np.minimum(np.maximum(np.array([mn[:, diag].real, lam]), 0.0), 1.0)
             s_diag, s_full = _entropy_rows(spectra)
             per = np.maximum(s_diag - s_full, 0.0)
-        return float(ps @ per)
+            # the derivative of x log x is continued below EIG_FLOOR, where
+            # _entropy_rows drops the term
+            logs = np.log2(np.maximum(spectra, EIG_FLOOR))
+            g = ((vec * logs[1][:, None, :]) @ vec.conj().transpose(0, 2, 1)).reshape(da, db * db)
+            g[:, diag] -= logs[0]
+        per *= good
+        # K[(a,c), i] = tr_B(sig (1 x G_i))[a, c], using G_i^T = conj(G_i)
+        kmat = (amat @ (g.conj().T * good)).reshape(da, da, da)
+        grad_u = 2.0 * (kmat * u[None, :, :]).sum(axis=1)
+        # Daleckii-Krein: d exp(iH) = V (phi o V^dag dH V) V^dag, where
+        # phi_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) (i e^{iw_j} when equal),
+        # written with sinc so close eigenvalues do not cancel
+        phi = 1j * np.exp(0.5j * (hw[:, None] + hw[None, :])) * np.sinc(
+            (hw[:, None] - hw[None, :]) / (2.0 * np.pi))
+        y = hv @ (phi.conj() * (hv.conj().T @ grad_u @ hv)) @ hv.conj().T
+        return float(ps @ per), (gens_conj @ y.reshape(-1)).real
 
     return f
 
@@ -289,7 +319,8 @@ def _alice_objective(rho: DensityMatrix, frame: np.ndarray, bob: np.ndarray,
     """Objective x -> average steered coherence at Alice's basis
     frame @ _chart_unitary(da, x), against Bob's reference basis `bob` (both
     unitaries, kets as columns). Bloch form for two qubits (cheaper per
-    evaluation), general otherwise."""
+    evaluation), general otherwise; the general form also returns the
+    gradient, as a (value, gradient) pair."""
     sig = _rotated(rho.data, frame, bob)
     if rho.dims == (2, 2):
         return _objective_bloch_2q(sig, kind)
@@ -324,23 +355,44 @@ class _SearchOutcome(NamedTuple):
     run: int  # index of the run that reached the value
 
 
-def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
-    """Powell from each (fn, x0) of runs; the best outcome."""
+# A gradient search has converged when no component of the gradient at its
+# returned point exceeds this.
+GRAD_TOL = 1e-7
+
+
+def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
+                         gradient=False) -> _SearchOutcome:
+    """A local search from each (fn, x0) of runs; the best outcome.
+
+    With `gradient`, fn returns (value, gradient) and L-BFGS-B runs with at
+    most max_evals calls; the outcome has converged when its gradient passes
+    GRAD_TOL. Otherwise Powell runs with max_evals value calls, xtol and ftol.
+    """
     best = None
     total = 0
     for idx, (fn, x0) in enumerate(runs):
-        res = minimize(
-            fn,
-            np.asarray(x0, dtype=float),
-            method="Powell",
-            options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol},
-        )
+        x0 = np.asarray(x0, dtype=float)
+        if gradient:
+            res = minimize(fn, x0, method="L-BFGS-B", jac=True,
+                           options={"maxfun": int(max_evals), "ftol": 0.0, "gtol": GRAD_TOL})
+            converged = bool(np.abs(res.jac).max(initial=0.0) <= GRAD_TOL)
+        else:
+            res = minimize(fn, x0, method="Powell",
+                           options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol})
+            converged = bool(res.success)
         total += res.nfev
         # ties broken by start order: strict < keeps the earliest
         if best is None or res.fun < best.value:
             best = _SearchOutcome(float(res.fun), np.asarray(res.x, dtype=float),
-                                  bool(res.success), 0, idx)
+                                  converged, 0, idx)
     return best._replace(evals=total)
+
+
+def _negated(out):
+    """-out for a value or a (value, gradient) pair."""
+    if isinstance(out, tuple):
+        return -out[0], -out[1]
+    return -out
 
 
 def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
@@ -355,9 +407,9 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
         frames.append(haar_unitary(da, rng))
     origin = np.zeros(da * da - da)
     res = _multistart_minimize(
-        (((lambda x, f=_alice_objective(rho, u, bob, kind): -f(x)), origin)
+        (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
          for u in frames),
-        budget.max_evals)
+        budget.max_evals, gradient=rho.dims != (2, 2))
     return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
 
 
@@ -544,9 +596,9 @@ def _sic_degenerate(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamil
         if incumbent["u"] is not None:
             frames.insert(0, incumbent["u"])
         res = _multistart_minimize(
-            (((lambda x, f=_alice_objective(rho, u, bob, kind): -f(x)), origin)
+            (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
              for u in frames),
-            budget.refine_evals, xtol=1e-6, ftol=1e-10)
+            budget.refine_evals, xtol=1e-6, ftol=1e-10, gradient=rho.dims != (2, 2))
         incumbent["u"] = frames[res.run] @ _chart_unitary(da, res.x)
         return -res.value
 

@@ -74,7 +74,8 @@ def _pure_with_simple_b_marginal(dims, rng, gap=1e-4):
 
 def test_criterion_1_steered_coherence_bounded_by_b_side_disturbance():
     # 1000 two-qubit states and 300 states of a qutrit steering a qubit:
-    # sic^r <= Q_B^r + 1e-6 in every single instance
+    # sic^r <= Q_B^r + 1e-6 in every single instance, and every qutrit
+    # search converges
     rng = np.random.default_rng(1001)
     worst = math.inf
     for i in range(1000):
@@ -87,6 +88,7 @@ def test_criterion_1_steered_coherence_bounded_by_b_side_disturbance():
         rep = verify_theorem1(rho, "r", BUDGET_3X2, seed=i)
         worst = min(worst, rep.margin)
         assert rep.status == PASS, f"instance {i} (3x2): margin {rep.margin:.3e}"
+        assert rep.converged, f"instance {i} (3x2): search did not converge"
     assert worst >= -1e-6
 
 

@@ -29,6 +29,7 @@ from steercoh import (
     tensor_product,
     verify_sic_properties,
     verify_theorem1,
+    von_neumann_entropy,
     werner_state,
 )
 from steercoh.correlations import (
@@ -43,7 +44,9 @@ from steercoh.correlations import (
 )
 from steercoh.sampling import (
     haar_unitary,
+    min_eigengap,
     random_hs_state,
+    random_pure,
     random_state_nondegenerate_b,
 )
 
@@ -51,6 +54,9 @@ from steercoh.sampling import (
 # heavier defaults
 LIGHT = SearchBudget(starts=6, max_evals=500, outer_starts=4, outer_evals=300,
                      refine_evals=70)
+
+# the budget of acceptance criterion 1's 3x2 block
+BUDGET_3X2 = SearchBudget(starts=6, max_evals=500)
 
 GAP_SIC_R = 0.21040208776627728  # grid + local-search reference value
 
@@ -191,7 +197,7 @@ def test_general_objective_matches_reference():
             for frame, x, alice in _frame_points(rng, dims[0]):
                 f = _objective_general(_rotated(rho.data, frame, bob.matrix), *dims, kind)
                 ref = avg_steered_coherence(rho, alice, bob, kind)
-                assert abs(f(x) - ref) <= 1e-12
+                assert abs(f(x)[0] - ref) <= 1e-12
 
 
 def test_general_objective_skips_zero_probability_outcomes():
@@ -208,7 +214,21 @@ def test_general_objective_skips_zero_probability_outcomes():
             f = _objective_general(_rotated(rho.data, np.eye(da), bob.matrix), da, 2, kind)
             ref = avg_steered_coherence(rho, alice, bob, kind)
             assert ref > 0.0
-            assert abs(f(np.zeros(da * da - da)) - ref) <= 1e-12
+            assert abs(f(np.zeros(da * da - da))[0] - ref) <= 1e-12
+
+
+def test_general_objective_gradient_matches_central_differences():
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for dims in ((3, 2), (2, 3), (3, 3)):
+        rho = random_state_nondegenerate_b(dims, rng)
+        bob = _b_marginal_family(rho).base
+        steps = np.eye(dims[0] * dims[0] - dims[0])
+        for kind in KINDS:
+            for frame, x, _ in _frame_points(rng, dims[0]):
+                f = _objective_general(_rotated(rho.data, frame, bob.matrix), *dims, kind)
+                central = [(f(x + h * e)[0] - f(x - h * e)[0]) / (2 * h) for e in steps]
+                assert np.abs(f(x)[1] - central).max() <= 1e-8, (dims, kind)
 
 
 def test_bloch_objective_matches_reference_and_general():
@@ -221,7 +241,7 @@ def test_bloch_objective_matches_reference_and_general():
             bloch = _objective_bloch_2q(sig, kind)
             ref = avg_steered_coherence(rho, alice, bob, kind)
             assert abs(bloch(x) - ref) <= 1e-12
-            assert abs(bloch(x) - _objective_general(sig, 2, 2, kind)(x)) <= 1e-12
+            assert abs(bloch(x) - _objective_general(sig, 2, 2, kind)(x)[0]) <= 1e-12
 
 
 def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
@@ -393,9 +413,30 @@ def test_sic_on_werner_states_equals_mixing_weight():
 
 
 def test_sic_deterministic_for_fixed_seed():
-    a = sic(gap_example(), "r", LIGHT, seed=3)
-    b = sic(gap_example(), "r", LIGHT, seed=3)
-    assert a.value == b.value
+    qutrit_alice = random_state_nondegenerate_b((3, 2), np.random.default_rng(18))
+    for rho, budget in ((gap_example(), LIGHT), (qutrit_alice, BUDGET_3X2)):
+        a = sic(rho, "r", budget, seed=3)
+        b = sic(rho, "r", budget, seed=3)
+        assert a.value == b.value
+        assert np.array_equal(a.alice_basis.matrix, b.alice_basis.matrix)
+        assert np.array_equal(a.bob_basis.matrix, b.bob_basis.matrix)
+
+
+def test_sic_of_pure_states_is_the_b_entropy():
+    # every steered state of a pure input is pure, so log rho_i diverges on
+    # its kernel; theorem 2 with S(rho) = 0 gives sic^r = S(rho_B)
+    rng = np.random.default_rng(19)
+    for dims in ((3, 2), (3, 3), (2, 3)):
+        seen = 0
+        while seen < 10:
+            rho = random_pure(dims, rng)
+            rho_b = partial_trace(rho, [1])
+            if min_eigengap(rho_b.data) <= 1e-4:
+                continue
+            res = sic(rho, "r", BUDGET_3X2, seed=seen)
+            assert res.converged, (dims, seen)
+            assert abs(res.value - von_neumann_entropy(rho_b)) <= 1e-9, (dims, seen)
+            seen += 1
 
 
 def test_sic_of_b_classical_state_is_zero():
