@@ -444,19 +444,9 @@ def cmd_verify(args) -> int:
 
     rows = []
     for rep in reports:
-        row = {
-            "theorem": rep.theorem,
-            "kind": rep.kind,
-            "status": rep.status,
-            "value_lhs": rep.value_lhs,
-            "value_rhs": rep.value_rhs,
-            "margin": rep.margin,
-            "tolerance": rep.tolerance,
-            "converged": rep.converged,
-            "seeds": list(rep.seeds),
-        }
-        if rep.status != PASS:
-            row["details"] = list(rep.details)
+        row = rep.as_dict()
+        if rep.status == PASS:
+            del row["details"]
         rows.append(row)
 
     statuses = [r.status for r in reports]

@@ -23,6 +23,7 @@ from .qkernel import (
     EIG_FLOOR,
     DensityMatrix,
     ProjectiveBasis,
+    _entropy_rows,
     apply_kraus,
     dephase,
     regroup_dims,
@@ -78,15 +79,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho || sigma) in bits; raises SupportViolationError on divergence."""
     _check_pair(rho, sigma)
     w, v = np.linalg.eigh(sigma.data)
-    overlaps = np.einsum("ki,kl,li->i", v.conj(), rho.data, v, optimize=True).real
+    overlaps = (v.conj() * (rho.data @ v)).sum(axis=0).real
     null = w <= EIG_FLOOR
     if overlaps[null].sum() > SUPPORT_TOL:
         raise SupportViolationError(
             "rho has support outside sigma's support; relative entropy diverges"
         )
-    lam = np.linalg.eigvalsh(rho.data)
-    lam = lam[lam > EIG_FLOOR]
-    tr_rho_log_rho = float(np.sum(lam * np.log2(lam)))
+    tr_rho_log_rho = -float(_entropy_rows(np.linalg.eigvalsh(rho.data)))
     keep = ~null
     tr_rho_log_sigma = float(np.sum(overlaps[keep] * np.log2(w[keep])))
     return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)

@@ -22,6 +22,7 @@ from .correlations import (
     _aligned_to_b_eigenbasis,
     avg_steered_coherence,
     b_side_mid,
+    b_side_mid_detail,
     fourier_basis,
     sic,
     _multistart_minimize,
@@ -432,7 +433,8 @@ def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = 
     e_c = ProjectiveBasis.computational(db)
     e_bc = product_basis(e_b, e_c)
 
-    q_b = b_side_mid(aligned, DistanceKind.RELATIVE_ENTROPY, budget, seed)
+    mid_res = b_side_mid_detail(aligned, DistanceKind.RELATIVE_ENTROPY, budget, seed)
+    q_b = mid_res.value
     rho_abc = prepare_protocol_state(aligned)
     avg, per_outcome = steering_induced_entanglement(rho_abc, alice, budget, seed)
 
@@ -469,7 +471,7 @@ def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = 
         margin=float(worst),
         tolerance=agg_tol,
         seeds=(seed,),
-        converged=True,
+        converged=mid_res.converged and all(rec["converged"] for rec in per_outcome),
         status=PASS if worst >= 0 else FAIL,
         details=tuple(details),
     )
@@ -481,7 +483,8 @@ def rho_x_finding(budget: SearchBudget | None = None, seed: int = 0) -> Verifica
     so the disturbance bound does not extend to the BC pair."""
     rho = rho_x_state()
     flat = regroup_dims(rho, (2, 4))
-    q_bc = b_side_mid(flat, DistanceKind.RELATIVE_ENTROPY, budget, seed)
+    mid_res = b_side_mid_detail(flat, DistanceKind.RELATIVE_ENTROPY, budget, seed)
+    q_bc = mid_res.value
     avg, per_outcome = steering_induced_entanglement(
         rho, ProjectiveBasis.computational(2), budget, seed
     )
@@ -499,7 +502,7 @@ def rho_x_finding(budget: SearchBudget | None = None, seed: int = 0) -> Verifica
         margin=avg - q_bc,
         tolerance=1e-9,
         seeds=(seed,),
-        converged=True,
+        converged=mid_res.converged and all(rec["converged"] for rec in per_outcome),
         status=FINDING if ok else FAIL,
         details=tuple(details),
     )

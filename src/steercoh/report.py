@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "PASS"
@@ -31,10 +30,6 @@ class VerificationReport:
     status: str
     details: tuple = field(default_factory=tuple)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def as_dict(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -48,6 +43,3 @@ class VerificationReport:
             "status": self.status,
             "details": list(self.details),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=1)

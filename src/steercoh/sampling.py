@@ -53,8 +53,9 @@ def random_state_nondegenerate_b(
 ) -> DensityMatrix:
     """Random state whose B-side marginal has all eigenvalue gaps above `gap`.
 
-    Degenerate-marginal states need minimax handling and are sampled out of
-    the generic ensembles; they get dedicated closed-form treatment instead.
+    Degenerate-marginal states are sampled out of the generic ensembles:
+    for them sic adds the minimax over Bob's eigenbases, which the Werner
+    and Bell-diagonal inputs cover instead.
     """
     da, db = dims
     for _ in range(1000):

@@ -32,6 +32,7 @@ from steercoh import (
     von_neumann_entropy,
     werner_state,
 )
+from steercoh import correlations
 from steercoh.correlations import (
     _b_marginal_family,
     _chart_unitary,
@@ -414,12 +415,37 @@ def test_sic_on_werner_states_equals_mixing_weight():
 
 def test_sic_deterministic_for_fixed_seed():
     qutrit_alice = random_state_nondegenerate_b((3, 2), np.random.default_rng(18))
-    for rho, budget in ((gap_example(), LIGHT), (qutrit_alice, BUDGET_3X2)):
-        a = sic(rho, "r", budget, seed=3)
-        b = sic(rho, "r", budget, seed=3)
+    # the last two have degenerate marginals and run the eigenbasis search
+    for rho, kind, budget in ((gap_example(), "r", LIGHT),
+                              (qutrit_alice, "r", BUDGET_3X2),
+                              (werner_state(0.6), "r", LIGHT),
+                              (bell_diagonal_state([0.4, 0.3, 0.2, 0.1]), "l1", LIGHT)):
+        a = sic(rho, kind, budget, seed=3)
+        b = sic(rho, kind, budget, seed=3)
         assert a.value == b.value
+        assert a.converged == b.converged
         assert np.array_equal(a.alice_basis.matrix, b.alice_basis.matrix)
         assert np.array_equal(a.bob_basis.matrix, b.bob_basis.matrix)
+
+
+def test_sic_unconverged_when_full_search_beats_outer_value(monkeypatch):
+    # a light inner pass that undershot at the chosen eigenbasis leaves the
+    # full Alice search above the outer value: reported, not retried
+    real = correlations._minimize_bob_basis
+
+    def lowered(*args):
+        out = real(*args)
+        return out._replace(value=out.value - 1e-3)
+
+    rho = werner_state(0.6)
+    ref = sic(rho, "r", LIGHT, seed=0)
+    assert ref.converged
+    monkeypatch.setattr(correlations, "_minimize_bob_basis", lowered)
+    res = sic(rho, "r", LIGHT, seed=0)
+    assert not res.converged
+    assert res.value == ref.value
+    again = avg_steered_coherence(rho, res.alice_basis, res.bob_basis, "r")
+    assert res.value == again
 
 
 def test_sic_of_pure_states_is_the_b_entropy():
@@ -471,3 +497,20 @@ def test_verify_sic_properties_passes():
     assert rep.status == PASS
     assert rep.converged
     assert rep.margin > 0
+
+
+def test_verify_sic_properties_reports_an_unconverged_sic(monkeypatch):
+    real = correlations.sic
+    calls = []
+
+    def one_unconverged(*args):
+        res = real(*args)
+        calls.append(res)
+        return res._replace(converged=res.converged and len(calls) != 3)
+
+    rho = random_state_nondegenerate_b((2, 2), np.random.default_rng(12))
+    monkeypatch.setattr(correlations, "sic", one_unconverged)
+    rep = verify_sic_properties(rho, "r", LIGHT, seed=0, samples=1)
+    assert len(calls) > 3
+    assert all(res.converged for res in calls)
+    assert not rep.converged
