@@ -140,7 +140,6 @@ class EigenbasisFamily:
     """
 
     base: ProjectiveBasis
-    eigenvalues: np.ndarray
     blocks: tuple
     active_blocks: tuple
 
@@ -159,9 +158,7 @@ class EigenbasisFamily:
         active = tuple(
             blk for blk in blocks if len(blk) >= 2 and w[blk[-1]] > EIG_FLOOR
         )
-        ev = np.asarray(w, dtype=float)
-        ev.flags.writeable = False
-        return cls(ProjectiveBasis.from_columns(v), ev, tuple(blocks), active)
+        return cls(ProjectiveBasis.from_columns(v), tuple(blocks), active)
 
     @property
     def n_params(self) -> int:
@@ -331,14 +328,12 @@ def avg_steered_coherence(rho: DensityMatrix, alice: ProjectiveBasis,
                           bob_basis: ProjectiveBasis, kind) -> float:
     """Average coherence of Bob's steered states for one Alice basis.
 
-    Reference implementation used for witnesses and cross-checks; outcome
-    probabilities below the zero threshold are excluded.
+    Reference implementation used for witnesses and cross-checks; steer
+    leaves out the outcomes of probability below ZERO_PROB.
     """
     kind = DistanceKind.parse(kind)
     total = 0.0
     for out in steer(rho, alice):
-        if out.negligible:
-            continue
         total += out.probability * coherence(kind, out.state, bob_basis)
     return total
 
@@ -658,7 +653,7 @@ def _aligned_to_b_eigenbasis(rho: DensityMatrix) -> DensityMatrix:
     """Rotate Bob's side so rho_B is diagonal (sic, b_side_mid and the other
     quantities with basis-covariant definitions are invariant under this)."""
     sig = _rotated(rho.data, np.eye(rho.dims[0]), _b_marginal_family(rho).base.matrix)
-    return DensityMatrix(sig, rho.dims, rho.tol)
+    return DensityMatrix(sig, rho.dims)
 
 
 def verify_sic_properties(rho: DensityMatrix, kind="r",
@@ -709,8 +704,6 @@ def verify_sic_properties(rho: DensityMatrix, kind="r",
         kmap = random_permutation_phase_kraus(rho.dims[1], 2, rng, target=1)
         avg = 0.0
         for out in apply_kraus(aligned, kmap, selective=True):
-            if out.negligible:
-                continue
             avg += out.probability * sic_value(out.state)
         worst = min(worst, base_aligned + tol_mono - avg)
         details.append(f"E3 base={base_aligned:.6f} avg={avg:.6f}")

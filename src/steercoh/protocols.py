@@ -388,8 +388,6 @@ def steering_induced_entanglement(rho_abc: DensityMatrix, alice: ProjectiveBasis
     per_outcome = []
     avg = 0.0
     for out in steer(flat, alice):
-        if out.negligible:
-            continue
         bc = regroup_dims(out.state, (db, dc))
         lam = np.linalg.eigvalsh(bc.data)
         if lam[-1] >= 1.0 - PURITY_TOL:
@@ -442,9 +440,9 @@ def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = 
     agg_tol = 1e-6
     worst = math.inf
     details = []
-    steered_b = [out for out in steer(aligned, alice) if not out.negligible]
-    flat_abc = regroup_dims(rho_abc, (da, db * db))
-    steered_bc = [out for out in steer(flat_abc, alice) if not out.negligible]
+    # the copy gate acts on BC only, so both lists drop the same outcomes
+    steered_b = steer(aligned, alice)
+    steered_bc = steer(regroup_dims(rho_abc, (da, db * db)), alice)
     all_exact = True
     for i, rec in enumerate(per_outcome):
         bc = regroup_dims(steered_bc[i].state, (db, db))

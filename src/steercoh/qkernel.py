@@ -3,6 +3,9 @@
 Everything here works on explicit complex matrices for small multipartite
 systems. Subsystem structure is carried as a tuple of local dimensions, with
 subsystem 0 as the leftmost tensor factor (row-major Kronecker convention).
+States, bases and Kraus maps are validated to DEFAULT_TOL and must have
+finite entries. Measurements (steer, selective apply_kraus) return only the
+outcomes of probability at least ZERO_PROB.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 # Eigenvalues below this floor are treated as exact zeros (entropy terms,
-# support projections); outcome probabilities below ZERO_PROB are negligible.
+# support projections); outcomes of probability below ZERO_PROB are dropped.
 EIG_FLOOR = 1e-12
 ZERO_PROB = 1e-12
 
@@ -33,6 +36,12 @@ def _as_square_complex(m) -> np.ndarray:
     return a
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # every later check compares with `>`, which is False for NaN
+    if not np.isfinite(a).all():
+        raise InvalidStateError(f"{what} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix with a declared subsystem factorization.
@@ -40,12 +49,12 @@ class DensityMatrix:
     Args:
         data: square complex matrix, side = prod(dims).
         dims: local dimensions, leftmost factor first.
-        tol: validation tolerance for hermiticity, unit trace and positivity.
+
+    Hermiticity, unit trace and positivity are checked to DEFAULT_TOL.
     """
 
     data: np.ndarray
     dims: tuple
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         a = _as_square_complex(self.data).copy()
@@ -55,12 +64,13 @@ class DensityMatrix:
         side = int(np.prod(dims))
         if a.shape[0] != side:
             raise ValueError(f"matrix side {a.shape[0]} does not match prod(dims) = {side}")
-        if np.abs(a - a.conj().T).max() > self.tol:
+        _require_finite(a, "matrix")
+        if np.abs(a - a.conj().T).max() > DEFAULT_TOL:
             raise InvalidStateError("matrix is not Hermitian within tolerance")
         tr = a.trace()
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise InvalidStateError(f"trace {tr} is not 1 within tolerance")
-        if np.linalg.eigvalsh(a).min() < -self.tol:
+        if np.linalg.eigvalsh(a).min() < -DEFAULT_TOL:
             raise InvalidStateError("matrix has a negative eigenvalue beyond tolerance")
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
@@ -75,10 +85,10 @@ class DensityMatrix:
         return len(self.dims)
 
     @classmethod
-    def from_pure(cls, vec, dims, tol: float = DEFAULT_TOL) -> "DensityMatrix":
+    def from_pure(cls, vec, dims) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).reshape(-1)
         v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), dims, tol)
+        return cls(np.outer(v, v.conj()), dims)
 
     def close_to(self, other: "DensityMatrix", atol: float = 1e-9) -> bool:
         return self.dims == other.dims and np.abs(self.data - other.data).max() <= atol
@@ -98,18 +108,18 @@ class ProjectiveBasis:
     """
 
     vectors: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex).copy()
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"basis must be d vectors of length d, got shape {v.shape}")
+        _require_finite(v, "basis")
         d = v.shape[0]
         gram = v.conj() @ v.T
-        if np.abs(gram - np.eye(d)).max() > self.tol:
+        if np.abs(gram - np.eye(d)).max() > DEFAULT_TOL:
             raise InvalidStateError("basis vectors are not orthonormal within tolerance")
         completeness = v.T @ v.conj()
-        if np.abs(completeness - np.eye(d)).max() > self.tol:
+        if np.abs(completeness - np.eye(d)).max() > DEFAULT_TOL:
             raise InvalidStateError("basis is not complete within tolerance")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
@@ -128,12 +138,8 @@ class ProjectiveBasis:
         return cls(np.eye(d))
 
     @classmethod
-    def from_columns(cls, u, tol: float = DEFAULT_TOL) -> "ProjectiveBasis":
-        return cls(np.asarray(u, dtype=complex).T, tol)
-
-    def projector(self, i: int) -> np.ndarray:
-        v = self.vectors[i]
-        return np.outer(v, v.conj())
+    def from_columns(cls, u) -> "ProjectiveBasis":
+        return cls(np.asarray(u, dtype=complex).T)
 
 
 def product_basis(first: ProjectiveBasis, second: ProjectiveBasis) -> ProjectiveBasis:
@@ -143,33 +149,11 @@ def product_basis(first: ProjectiveBasis, second: ProjectiveBasis) -> Projective
 
 @dataclass(frozen=True)
 class SteeringOutcome:
-    """One measurement outcome: probability and the conditional remote state.
-
-    negligible marks outcomes with probability below ZERO_PROB; their state
-    field is a placeholder and must be excluded from averages.
-    """
+    """One measurement outcome of probability at least ZERO_PROB and its
+    normalized conditional state."""
 
     probability: float
     state: DensityMatrix
-    negligible: bool = False
-
-
-@dataclass(frozen=True)
-class SteeringEnsemble:
-    outcomes: tuple
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    def __len__(self):
-        return len(self.outcomes)
-
-    def average_state(self) -> DensityMatrix:
-        acc = np.zeros((self.outcomes[0].state.side,) * 2, dtype=complex)
-        for out in self.outcomes:
-            if not out.negligible:
-                acc += out.probability * out.state.data
-        return DensityMatrix(acc / acc.trace().real, self.outcomes[0].state.dims)
 
 
 @dataclass(frozen=True)
@@ -182,7 +166,6 @@ class KrausMap:
 
     operators: tuple
     target: int
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         ops = tuple(_as_square_complex(k) for k in self.operators)
@@ -191,8 +174,9 @@ class KrausMap:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("Kraus operators must share a common shape")
+        _require_finite(np.stack(ops), "Kraus map")
         acc = sum(k.conj().T @ k for k in ops)
-        if np.abs(acc - np.eye(d)).max() > self.tol:
+        if np.abs(acc - np.eye(d)).max() > DEFAULT_TOL:
             raise InvalidStateError("Kraus map is not trace preserving within tolerance")
         object.__setattr__(self, "operators", ops)
 
@@ -202,7 +186,7 @@ class KrausMap:
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims, max(a.tol, b.tol))
+    return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -219,7 +203,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(t, bra + ket, out)
     side = int(np.prod([rho.dims[k] for k in keep]))
-    return DensityMatrix(reduced.reshape(side, side), tuple(rho.dims[k] for k in keep), rho.tol)
+    return DensityMatrix(reduced.reshape(side, side), tuple(rho.dims[k] for k in keep))
 
 
 def regroup_dims(rho: DensityMatrix, dims) -> DensityMatrix:
@@ -227,20 +211,20 @@ def regroup_dims(rho: DensityMatrix, dims) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != rho.side:
         raise ValueError(f"dims {dims} incompatible with side {rho.side}")
-    return DensityMatrix(rho.data, dims, rho.tol)
+    return DensityMatrix(rho.data, dims)
 
 
-def eig_hermitian(m, tol: float = DEFAULT_TOL):
+def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns.
     """
     a = _as_square_complex(m)
-    if np.abs(a - a.conj().T).max() > tol:
+    if np.abs(a - a.conj().T).max() > DEFAULT_TOL:
         raise InvalidStateError("eig_hermitian requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     recon = (v * w) @ v.conj().T
-    if np.abs(recon - a).max() > max(tol, 1e-10):
+    if np.abs(recon - a).max() > DEFAULT_TOL:
         raise InvalidStateError("eigendecomposition failed reconstruction check")
     return w, v
 
@@ -261,24 +245,29 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_probs(np.linalg.eigvalsh(rho.data))
 
 
-def steer(rho: DensityMatrix, basis: ProjectiveBasis) -> SteeringEnsemble:
-    """Measure subsystem A of a bipartite state projectively; collect the
-    conditional states of subsystem B with their outcome probabilities."""
+def _outcomes(unnormalized, dims) -> tuple:
+    """SteeringOutcome records of unnormalized conditional states, in order,
+    without those of probability below ZERO_PROB."""
+    outcomes = []
+    for m in unnormalized:
+        p = float(m.trace().real)
+        if p >= ZERO_PROB:
+            outcomes.append(SteeringOutcome(p, DensityMatrix(m / p, dims)))
+    return tuple(outcomes)
+
+
+def steer(rho: DensityMatrix, basis: ProjectiveBasis) -> tuple:
+    """Measure subsystem A of a bipartite state projectively; return the
+    outcomes of B's conditional states, in basis order, without those of
+    probability below ZERO_PROB."""
     if rho.n_subsystems != 2:
         raise ValueError("steer expects a bipartite state (regroup dims first)")
     da, db = rho.dims
     if basis.dim != da:
         raise ValueError(f"basis dim {basis.dim} does not match subsystem A dim {da}")
     t = rho.data.reshape(da, db, da, db)
-    outcomes = []
-    for v in basis.vectors:
-        m = np.einsum("a,abcd,c->bd", v.conj(), t, v)
-        p = float(m.trace().real)
-        if p < ZERO_PROB:
-            outcomes.append(SteeringOutcome(max(p, 0.0), maximally_mixed((db,)), True))
-        else:
-            outcomes.append(SteeringOutcome(p, DensityMatrix(m / p, (db,), rho.tol)))
-    return SteeringEnsemble(tuple(outcomes))
+    return _outcomes((np.einsum("a,abcd,c->bd", v.conj(), t, v) for v in basis.vectors),
+                     (db,))
 
 
 def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> DensityMatrix:
@@ -298,7 +287,7 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> Dens
     t = rho.data.reshape(pre, dt, post, pre, dt, post).transpose(0, 2, 3, 5, 1, 4)
     blocks = (t.reshape(-1, dt * dt) @ w) @ w.conj().T
     out = blocks.reshape(pre, post, pre, post, dt, dt).transpose(0, 4, 1, 2, 5, 3)
-    return DensityMatrix(out.reshape(rho.side, rho.side), rho.dims, rho.tol)
+    return DensityMatrix(out.reshape(rho.side, rho.side), rho.dims)
 
 
 def _embed_on_subsystem(op: np.ndarray, dims, target: int) -> np.ndarray:
@@ -316,8 +305,8 @@ def apply_kraus(rho: DensityMatrix, kmap: KrausMap, selective: bool = False):
     """Apply a Kraus map to its target subsystem.
 
     Non-selective mode returns the summed output state. Selective mode returns
-    a list of SteeringOutcome records (probability, normalized conditional
-    state, negligible flag), mirroring steer's zero-probability policy.
+    a tuple of SteeringOutcome records in operator order, without those of
+    probability below ZERO_PROB, as steer does.
     """
     n = rho.n_subsystems
     if kmap.target < 0 or kmap.target >= n:
@@ -331,16 +320,8 @@ def apply_kraus(rho: DensityMatrix, kmap: KrausMap, selective: bool = False):
         acc = np.zeros_like(rho.data)
         for k in embedded:
             acc = acc + k @ rho.data @ k.conj().T
-        return DensityMatrix(acc, rho.dims, rho.tol)
-    outcomes = []
-    for k in embedded:
-        m = k @ rho.data @ k.conj().T
-        p = float(m.trace().real)
-        if p < ZERO_PROB:
-            outcomes.append(SteeringOutcome(max(p, 0.0), maximally_mixed(rho.dims), True))
-        else:
-            outcomes.append(SteeringOutcome(p, DensityMatrix(m / p, rho.dims, rho.tol)))
-    return outcomes
+        return DensityMatrix(acc, rho.dims)
+    return _outcomes((k @ rho.data @ k.conj().T for k in embedded), rho.dims)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -366,7 +347,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_dict(payload: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def state_from_dict(payload: dict) -> DensityMatrix:
     try:
         dims = payload["dims"]
         re = np.asarray(payload["re"], dtype=float)
@@ -375,7 +356,7 @@ def state_from_dict(payload: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ValueError(f"malformed state payload: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
-    return DensityMatrix(re + 1j * im, dims, tol)
+    return DensityMatrix(re + 1j * im, dims)
 
 
 def save_state(rho: DensityMatrix, path: str) -> None:
@@ -383,8 +364,8 @@ def save_state(rho: DensityMatrix, path: str) -> None:
     atomic_write_text(path, json.dumps(state_to_dict(rho), indent=1))
 
 
-def load_state(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def load_state(path: str) -> DensityMatrix:
     """Load and re-validate a JSON state file."""
     with open(path) as fh:
         payload = json.load(fh)
-    return state_from_dict(payload, tol)
+    return state_from_dict(payload)

@@ -81,38 +81,9 @@ def pauli_decompose(rho: DensityMatrix) -> PauliTheta:
     return PauliTheta(_pauli_coefficients(rho.data))
 
 
-def reconstruct(theta: PauliTheta, tol: float = 1e-9) -> DensityMatrix:
+def reconstruct(theta: PauliTheta) -> DensityMatrix:
     acc = _THETA_TABLE.conj().T @ theta.theta.reshape(16)
-    return DensityMatrix(acc.reshape(4, 4) / 4.0, (2, 2), tol)
-
-
-def rotation_from_qubit_unitary(u) -> np.ndarray:
-    """SO(3) rotation R with U sigma_k U^dag = sum_i R_ik sigma_i, so local
-    unitaries transform the blocks as a -> R_A a, b -> R_B b, T -> R_A T R_B^T."""
-    u = np.asarray(u, dtype=complex)
-    sigma = np.array(PAULI[1:])
-    m = u @ sigma @ u.conj().T  # U sigma_k U^dag, stacked over k
-    return 0.5 * np.einsum("iba,kab->ik", sigma, m).real
-
-
-def qubit_unitary_from_rotation(r) -> np.ndarray:
-    """Inverse of rotation_from_qubit_unitary up to global phase."""
-    r = np.asarray(r, dtype=float)
-    cos_phi = (np.trace(r) - 1.0) / 2.0
-    cos_phi = min(1.0, max(-1.0, cos_phi))
-    phi = math.acos(cos_phi)
-    if phi < 1e-12:
-        return np.eye(2, dtype=complex)
-    if math.pi - phi < 1e-6:
-        # axis from the symmetric part: R + I = 2 n n^T at angle pi
-        m = (r + np.eye(3)) / 2.0
-        n = m[:, np.argmax(np.diagonal(m))]
-        n = n / np.linalg.norm(n)
-    else:
-        n = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        n = n / (2.0 * math.sin(phi))
-    sigma_n = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]
-    return math.cos(phi / 2.0) * PAULI[0] - 1j * math.sin(phi / 2.0) * sigma_n
+    return DensityMatrix(acc.reshape(4, 4) / 4.0, (2, 2))
 
 
 def _rotation_aligning(v, w) -> np.ndarray:

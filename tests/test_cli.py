@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steercoh import bell_state, load_state, save_state
+from steercoh import bell_state, load_state, save_state, state_to_dict
 from steercoh.cli import main
 from steercoh.sampling import random_hs_state
 
@@ -123,6 +123,17 @@ def test_compute_validation_exit_codes(tmp_path):
     assert main(["compute", "sic", "--recipe", '{"kind": "ghz"}']) == 1
     big = '{"kind": "random_hs", "params": {"dims": [9, 8]}}'
     assert main(["compute", "coherence", "--recipe", big]) == 1  # above dim cap
+
+
+def test_compute_rejects_a_state_file_with_nan(tmp_path, capsys):
+    # json writes and parses the bare token NaN
+    payload = state_to_dict(bell_state())
+    payload["re"][0][0] = float("nan")
+    path = tmp_path / "nan_state.json"
+    path.write_text(json.dumps(payload))
+    assert main(["compute", "theta", "--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid state file" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("argv", [["compute", "theta"], ["sweep"], ["sample", "--n", "1"]])

@@ -173,8 +173,7 @@ def test_avg_steered_coherence_matches_manual_sum():
 
     manual = 0.0
     for out in steer(rho, alice):
-        if not out.negligible:
-            manual += out.probability * coherence("r", out.state, bob)
+        manual += out.probability * coherence("r", out.state, bob)
     assert np.isclose(avg_steered_coherence(rho, alice, bob, "r"), manual, atol=1e-12)
 
 

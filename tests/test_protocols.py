@@ -373,8 +373,6 @@ def test_protocol_entropy_bookkeeping():
     from steercoh import steer
 
     for outcome in steer(flat, fourier_basis(2)):
-        if outcome.negligible:
-            continue
         bc = regroup_dims(outcome.state, (2, 2))
         lam = np.linalg.eigvalsh(bc.data)
         assert lam[-1] >= 1.0 - 1e-9

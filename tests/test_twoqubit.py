@@ -22,9 +22,7 @@ from steercoh import (
     gap_example,
     partial_trace,
     pauli_decompose,
-    qubit_unitary_from_rotation,
     reconstruct,
-    rotation_from_qubit_unitary,
     sic_l1_closed,
     verify_theorem3,
     werner_state,
@@ -99,51 +97,6 @@ def test_reconstruct_rejects_unphysical_coefficients():
     th[1:, 1:] = np.eye(3)  # T = +I has a -1/2 eigenvalue
     with pytest.raises(InvalidStateError):
         reconstruct(PauliTheta(th))
-
-
-def test_rotation_from_unitary_is_special_orthogonal():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        r = rotation_from_qubit_unitary(haar_unitary(2, rng))
-        assert_allclose(r @ r.T, np.eye(3), atol=1e-10)
-        assert np.isclose(np.linalg.det(r), 1.0, atol=1e-10)
-
-
-def test_rotation_acts_on_bloch_vectors():
-    rng = np.random.default_rng(3)
-    u = haar_unitary(2, rng)
-    r = rotation_from_qubit_unitary(u)
-    rho = random_hs_state((2,), rng)
-    rotated = DensityMatrix(u @ rho.data @ u.conj().T, (2,))
-    assert_allclose(bloch_vector(rotated), r @ bloch_vector(rho), atol=1e-10)
-
-
-def test_rotation_of_hadamard_swaps_x_and_z():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    r = rotation_from_qubit_unitary(h)
-    assert_allclose(r, np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]]), atol=1e-12)
-
-
-def test_rotation_composition():
-    rng = np.random.default_rng(4)
-    u = haar_unitary(2, rng)
-    v = haar_unitary(2, rng)
-    left = rotation_from_qubit_unitary(u @ v)
-    right = rotation_from_qubit_unitary(u) @ rotation_from_qubit_unitary(v)
-    assert_allclose(left, right, atol=1e-10)
-
-
-def test_unitary_from_rotation_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        r = rotation_from_qubit_unitary(haar_unitary(2, rng))
-        back = rotation_from_qubit_unitary(qubit_unitary_from_rotation(r))
-        assert_allclose(back, r, atol=1e-8)
-    # angle-pi rotations hit the degenerate axis-extraction branch
-    r_pi = np.diag([1.0, -1.0, -1.0])
-    back = rotation_from_qubit_unitary(qubit_unitary_from_rotation(r_pi))
-    assert_allclose(back, r_pi, atol=1e-8)
-    assert_allclose(qubit_unitary_from_rotation(np.eye(3)), np.eye(2), atol=1e-12)
 
 
 def test_canonical_form_zero_pattern():
