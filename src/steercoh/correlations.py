@@ -12,12 +12,12 @@ Each start is a frame U0 (kets as columns), and a local search moves in
 the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the G_k are the
 d*d - d off-diagonal generalized Gell-Mann matrices: one coordinate per
 direction of the set of bases, none that only rephases a ket. Alice's
-starts are the identity, the Fourier basis and Haar-random frames. The
-general Alice objective supplies an analytic gradient in these
-coordinates and is maximized by L-BFGS-B; the two-qubit Bloch objective
-and the disturbance and eigenbasis searches run Powell. Degenerate
-marginals add an outer minimization over the same chart on each
-degenerate block of the eigenbasis.
+starts are the identity, the Fourier basis and Haar-random frames. Both
+Alice objectives (the two-qubit Bloch form and the general one) supply an
+analytic gradient in these coordinates and are maximized by L-BFGS-B;
+the disturbance and eigenbasis searches run Powell. Degenerate marginals
+add an outer minimization over the same chart on each degenerate block
+of the eigenbasis.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class SearchBudget:
     starts / max_evals control the inner (Alice basis) maximization;
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
-    search explores. Where the Alice objective supplies a gradient (every
-    dims but 2x2) L-BFGS-B runs and max_evals / refine_evals cap its
-    value+gradient calls; every other search is Powell, capped in value
-    calls.
+    search explores. The Alice searches run L-BFGS-B, so max_evals and
+    refine_evals cap value+gradient calls; every other search is Powell,
+    capped in value calls (outer_evals, or max_evals for
+    protocols.ree_numeric).
     """
 
     starts: int = 32
@@ -197,12 +197,20 @@ def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
 # objective machinery
 
 
-# Scalar hot path of the Bloch objective: it runs about 375k times per Werner
-# sic, where one numpy call would cost more than a whole scalar evaluation.
+# Scalar hot path of the Bloch objective: it runs twice per outcome of every
+# evaluation, where one numpy call would cost more than a whole scalar
+# evaluation.
 def _binary_entropy(x: float) -> float:
     if x <= EIG_FLOOR or x >= 1.0 - EIG_FLOOR:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _entropy_slope(t: float) -> float:
+    """d/dt of _binary_entropy((1 + t) / 2), with both logs floored at
+    EIG_FLOOR as in _objective_general; odd in t."""
+    return 0.5 * (math.log2(max(0.5 * (1.0 - t), EIG_FLOOR))
+                  - math.log2(max(0.5 * (1.0 + t), EIG_FLOOR)))
 
 
 def _rotated(data: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -213,40 +221,80 @@ def _rotated(data: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 
 def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
-    """Two-qubit objective in Bloch form on the (already rotated) frame:
-    Bob's reference basis is the z axis, and chart point x puts Alice's
-    first ket at u = (-n_y sin 2h, n_x sin 2h, cos 2h), where
-    h (n_x, n_y) = x / sqrt(2)."""
+    """Two-qubit objective x -> (value, gradient) in Bloch form on the
+    (already rotated) frame: Bob's reference basis is the z axis, and chart
+    point x puts Alice's first ket at u = (-h_y s, h_x s, cos 2h), where
+    (h_x, h_y) = x / sqrt(2), h = |(h_x, h_y)| and s = sin 2h / h.
+
+    Outcome +-1 has p = (1 +- a.u) / 2 and unnormalised Bloch vector
+    v = b +- T^t u, and adds p C(r) at r = v / (2p). That term is
+    homogeneous of degree one in (p, v), so its derivatives are grad C / 2
+    in v and C - r.grad C in p; the chain rule through u(x) gives the
+    gradient. Outcomes below ZERO_PROB and terms clipped at zero add none.
+    Scalar Python apart from the returned array: numpy calls on 3-vectors
+    cost more than the arithmetic they do.
+    """
     th = _pauli_coefficients(sig)
-    a, b = th[1:, 0], th[0, 1:]
-    tmat_t = th[1:, 1:].T  # transpose of the correlation matrix
+    a0, a1, a2 = th[1:, 0].tolist()
+    b0, b1, b2 = th[0, 1:].tolist()
+    # correlation matrix T[i][j] = theta_ij, Alice's axis i and Bob's j
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = th[1:, 1:].tolist()
     s2 = math.sqrt(2.0)
     is_l1 = kind is DistanceKind.L1
 
     def f(params):
-        hx, hy = params[0] / s2, params[1] / s2
+        x0, x1 = params.tolist()
+        hx, hy = x0 / s2, x1 / s2
         h = math.sqrt(hx * hx + hy * hy)
-        if h < 1e-12:
-            u = np.array([0.0, 0.0, 1.0])
+        c = math.cos(2.0 * h)
+        # s = sin 2h / h and q = s'(h) / h, by their series near h = 0
+        if h < 1e-8:
+            s, q = 2.0 - 4.0 * h * h / 3.0, -8.0 / 3.0
         else:
             s = math.sin(2.0 * h) / h
-            u = np.array([-hy * s, hx * s, math.cos(2.0 * h)])
-        tu = tmat_t @ u
-        au = float(a @ u)
+            q = (2.0 * c - s) / (h * h)
+        u0, u1, u2 = -hy * s, hx * s, c
+        au = a0 * u0 + a1 * u1 + a2 * u2
+        tu0 = t00 * u0 + t10 * u1 + t20 * u2
+        tu1 = t01 * u0 + t11 * u1 + t21 * u2
+        tu2 = t02 * u0 + t12 * u1 + t22 * u2
         total = 0.0
+        g0 = g1 = g2 = 0.0  # gradient in u
         for sign in (1.0, -1.0):
             p = 0.5 * (1.0 + sign * au)
             if p < ZERO_PROB:
                 continue
-            v = b + sign * tu
-            rx, ry, rz = v[0] / (2 * p), v[1] / (2 * p), v[2] / (2 * p)
+            rx = (b0 + sign * tu0) / (2 * p)
+            ry = (b1 + sign * tu1) / (2 * p)
+            rz = (b2 + sign * tu2) / (2 * p)
             if is_l1:
-                total += p * math.hypot(rx, ry)
+                # the term is |v_xy| / 2, so it has no p derivative
+                rxy = math.hypot(rx, ry)
+                total += p * rxy
+                if rxy == 0.0:
+                    continue
+                dvx, dvy, dvz, dp = 0.5 * rx / rxy, 0.5 * ry / rxy, 0.0, 0.0
             else:
-                rn = min(math.sqrt(rx * rx + ry * ry + rz * rz), 1.0)
+                rr = math.sqrt(rx * rx + ry * ry + rz * rz)
+                rn = min(rr, 1.0)
                 cval = _binary_entropy(0.5 * (1 + abs(rz))) - _binary_entropy(0.5 * (1 + rn))
-                total += p * max(0.0, cval)
-        return total
+                if cval <= 0.0:
+                    continue
+                total += p * cval
+                # grad C = H'(r_z) e_z - H'(|r|) r / |r|; cval > 0 needs |r| > 0
+                dn = _entropy_slope(rn) / rr
+                cx, cy, cz = -dn * rx, -dn * ry, _entropy_slope(rz) - dn * rz
+                dvx, dvy, dvz = 0.5 * cx, 0.5 * cy, 0.5 * cz
+                dp = cval - (rx * cx + ry * cy + rz * cz)
+            # d/du of p and v: +-a / 2 and +-T
+            dp *= 0.5
+            g0 += sign * (t00 * dvx + t01 * dvy + t02 * dvz + dp * a0)
+            g1 += sign * (t10 * dvx + t11 * dvy + t12 * dvz + dp * a1)
+            g2 += sign * (t20 * dvx + t21 * dvy + t22 * dvz + dp * a2)
+        # pull back through u(h): ds/dh_k = q h_k, d(cos 2h)/dh_k = -2 s h_k
+        gx = -g0 * q * hx * hy + g1 * (s + q * hx * hx) - 2.0 * g2 * s * hx
+        gy = -g0 * (s + q * hy * hy) + g1 * q * hx * hy - 2.0 * g2 * s * hy
+        return total, np.array((gx / s2, gy / s2))
 
     return f
 
@@ -315,9 +363,9 @@ def _alice_objective(rho: DensityMatrix, frame: np.ndarray, bob: np.ndarray,
                      kind: DistanceKind):
     """Objective x -> average steered coherence at Alice's basis
     frame @ _chart_unitary(da, x), against Bob's reference basis `bob` (both
-    unitaries, kets as columns). Bloch form for two qubits (cheaper per
-    evaluation), general otherwise; the general form also returns the
-    gradient, as a (value, gradient) pair."""
+    unitaries, kets as columns), returned with its gradient as a
+    (value, gradient) pair. Bloch form for two qubits (cheaper per
+    evaluation), general otherwise."""
     sig = _rotated(rho.data, frame, bob)
     if rho.dims == (2, 2):
         return _objective_bloch_2q(sig, kind)
@@ -384,10 +432,8 @@ def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
 
 
 def _negated(out):
-    """-out for a value or a (value, gradient) pair."""
-    if isinstance(out, tuple):
-        return -out[0], -out[1]
-    return -out
+    """-out for a (value, gradient) pair."""
+    return -out[0], -out[1]
 
 
 def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
@@ -404,7 +450,7 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
     res = _multistart_minimize(
         (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
          for u in frames),
-        budget.max_evals, gradient=rho.dims != (2, 2))
+        budget.max_evals, gradient=True)
     return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
 
 
@@ -606,7 +652,7 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
         res = _multistart_minimize(
             (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
              for u in frames),
-            budget.refine_evals, xtol=1e-6, ftol=1e-10, gradient=rho.dims != (2, 2))
+            budget.refine_evals, gradient=True)
         warm[:] = [frames[res.run] @ _chart_unitary(da, res.x)]
         return -res.value
 

@@ -25,7 +25,6 @@ from .qkernel import (
     _entropy_rows,
     apply_kraus,
     dephase,
-    regroup_dims,
     tensor_product,
 )
 from .report import FAIL, PASS, VerificationReport
@@ -124,9 +123,8 @@ def coherence(kind, rho: DensityMatrix, basis: ProjectiveBasis) -> float:
         raise ValueError(f"basis dim {basis.dim} does not match state side {rho.side}")
     if kind is DistanceKind.TRACE_NORM and rho.side != 2:
         raise ValueError("trace-norm coherence is only defined here for dim 2")
-    flat = regroup_dims(rho, (rho.side,))
     u = basis.matrix
-    rotated = DensityMatrix(u.conj().T @ flat.data @ u, (rho.side,))
+    rotated = DensityMatrix(u.conj().T @ rho.data @ u, (rho.side,))
     comp = ProjectiveBasis.computational(rho.side)
     return distance(kind, rotated, dephase(rotated, comp, target=0))
 

@@ -74,8 +74,8 @@ def _pure_with_simple_b_marginal(dims, rng, gap=1e-4):
 
 def test_criterion_1_steered_coherence_bounded_by_b_side_disturbance():
     # 1000 two-qubit states and 300 states of a qutrit steering a qubit:
-    # sic^r <= Q_B^r + 1e-6 in every single instance, and every qutrit
-    # search converges
+    # sic^r <= Q_B^r + 1e-6 in every single instance, and every search
+    # converges
     rng = np.random.default_rng(1001)
     worst = math.inf
     for i in range(1000):
@@ -83,6 +83,7 @@ def test_criterion_1_steered_coherence_bounded_by_b_side_disturbance():
         rep = verify_theorem1(rho, "r", BUDGET_2Q, seed=i)
         worst = min(worst, rep.margin)
         assert rep.status == PASS, f"instance {i} (2x2): margin {rep.margin:.3e}"
+        assert rep.converged, f"instance {i} (2x2): search did not converge"
     for i in range(300):
         rho = random_state_nondegenerate_b((3, 2), rng)
         rep = verify_theorem1(rho, "r", BUDGET_3X2, seed=i)
@@ -108,16 +109,19 @@ def test_criterion_2_maximally_correlated_states_reach_the_bound():
 def test_criterion_3_two_qubit_closed_form_three_way_agreement():
     # 500 generic states exercise the nonvanishing-b branch, 200 Bell
     # diagonal mixtures the degenerate branch: closed form, numerical
-    # steering value and trace-norm disturbance agree within 1e-5
+    # steering value and trace-norm disturbance agree within 1e-5, and
+    # every search converges
     rng = np.random.default_rng(3003)
     for i in range(500):
         rho = random_state_nondegenerate_b((2, 2), rng)
         rep = verify_theorem3(rho, BUDGET_CF, seed=i)
         assert rep.status == PASS, f"generic instance {i}: {rep.details}"
+        assert rep.converged, f"generic instance {i}: search did not converge"
     for i in range(200):
         rho = _bell_diagonal(rng)
         rep = verify_theorem3(rho, BUDGET_PROPS, seed=i)
         assert rep.status == PASS, f"bell-diagonal instance {i}: {rep.details}"
+        assert rep.converged, f"bell-diagonal instance {i}: search did not converge"
 
 
 def test_criterion_4_gap_example_strict_separation():
@@ -177,7 +181,7 @@ def test_criterion_8_property_batteries_zero_violations():
     # identity of indiscernibles, data processing, joint/flagged convexity,
     # ancilla extension and unitary invariance for the distances; the
     # coherence conditions; and the steering-measure properties, each over
-    # at least 200 seeded instances
+    # at least 200 seeded instances; every steering search converges
     rep_d = verify_distance_properties(n_instances=200, seed=0)
     assert rep_d.status == PASS, rep_d.details
     rep_c = verify_coherence_properties(n_instances=200, seed=1)
@@ -187,6 +191,7 @@ def test_criterion_8_property_batteries_zero_violations():
         rho = random_state_nondegenerate_b((2, 2), rng)
         rep = verify_sic_properties(rho, "r", BUDGET_PROPS, seed=i, samples=4)
         assert rep.status == PASS, f"call {i}: {rep.details}"
+        assert rep.converged, f"call {i}: a sic search did not converge"
 
 
 def test_criterion_9_verification_reruns_are_deterministic():

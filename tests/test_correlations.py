@@ -26,6 +26,7 @@ from steercoh import (
     mid_detail,
     partial_trace,
     sic,
+    sic_l1_closed,
     tensor_product,
     verify_sic_properties,
     verify_theorem1,
@@ -240,8 +241,24 @@ def test_bloch_objective_matches_reference_and_general():
             sig = _rotated(rho.data, frame, bob.matrix)
             bloch = _objective_bloch_2q(sig, kind)
             ref = avg_steered_coherence(rho, alice, bob, kind)
-            assert abs(bloch(x) - ref) <= 1e-12
-            assert abs(bloch(x) - _objective_general(sig, 2, 2, kind)(x)[0]) <= 1e-12
+            assert abs(bloch(x)[0] - ref) <= 1e-12
+            assert abs(bloch(x)[0] - _objective_general(sig, 2, 2, kind)(x)[0]) <= 1e-12
+
+
+def test_bloch_objective_gradient_matches_general():
+    # the scalar chain rule through u(x), including its series at x = 0,
+    # against the Daleckii-Krein gradient of the general objective
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        rho = random_state_nondegenerate_b((2, 2), rng)
+        bob = _b_marginal_family(rho).base
+        for kind in KINDS:
+            for frame, x, _ in _frame_points(rng, 2, n=10):
+                sig = _rotated(rho.data, frame, bob.matrix)
+                bloch = _objective_bloch_2q(sig, kind)
+                general = _objective_general(sig, 2, 2, kind)
+                for point in (x, np.zeros(2), np.array([3e-9, -2e-9])):
+                    assert np.abs(bloch(point)[1] - general(point)[1]).max() <= 1e-12, kind
 
 
 def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
@@ -255,7 +272,7 @@ def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
         top = exact(bob)
         f = _objective_bloch_2q(_rotated(rho.data, np.eye(2), bob), DistanceKind.L1)
         for _ in range(200):
-            assert f(rng.normal(scale=1.2, size=2)) <= top + 1e-12
+            assert f(rng.normal(scale=1.2, size=2))[0] <= top + 1e-12
         best = _maximize_alice(rho, bob, DistanceKind.L1, generous, rng)
         assert abs(best.value - top) <= 1e-8
 
@@ -462,6 +479,25 @@ def test_sic_of_pure_states_is_the_b_entropy():
             assert res.converged, (dims, seen)
             assert abs(res.value - von_neumann_entropy(rho_b)) <= 1e-9, (dims, seen)
             seen += 1
+
+
+def test_sic_of_pure_two_qubit_states_converges_to_closed_forms():
+    # the Bloch gradient of a pure input meets |r| = 1 on every outcome,
+    # where the floored log slope multiplies a zero first-order change
+    rng = np.random.default_rng(20)
+    budget = SearchBudget(8, 800)
+    seen = 0
+    while seen < 30:
+        rho = random_pure((2, 2), rng)
+        rho_b = partial_trace(rho, [1])
+        if min_eigengap(rho_b.data) <= 1e-4:
+            continue
+        res_r = sic(rho, "r", budget, seed=seen)
+        res_l1 = sic(rho, "l1", budget, seed=seen)
+        assert res_r.converged and res_l1.converged, seen
+        assert abs(res_r.value - von_neumann_entropy(rho_b)) <= 1e-9, seen
+        assert abs(res_l1.value - sic_l1_closed(rho)) <= 1e-8, seen
+        seen += 1
 
 
 def test_sic_of_b_classical_state_is_zero():
