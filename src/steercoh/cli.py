@@ -272,6 +272,7 @@ def _entry_sie(rho, kind, budget, seed) -> dict:
         )
     alice = ProjectiveBasis.computational(rho.dims[0])
     avg, per_outcome = steering_induced_entanglement(rho, alice, budget, seed)
+    per_outcome = [{k: v for k, v in rec.items() if k != "state"} for rec in per_outcome]
     all_exact = all(rec["exact"] for rec in per_outcome)
     return {
         "quantity": "sie",

@@ -14,8 +14,9 @@ d*d - d off-diagonal generalized Gell-Mann matrices: one coordinate per
 direction of the set of bases, none that only rephases a ket. Alice's
 starts are the identity, the Fourier basis and Haar-random frames. Both
 Alice objectives (the two-qubit Bloch form and the general one) supply an
-analytic gradient in these coordinates and are maximized by L-BFGS-B;
-the disturbance and eigenbasis searches run Powell. Degenerate marginals
+analytic gradient in these coordinates and are maximized by an L-BFGS on
+plain floats (_lbfgs, handed to scipy's minimize as a custom method); the
+disturbance and eigenbasis searches run scipy's Powell. Degenerate marginals
 add an outer minimization over the same chart on each degenerate block
 of the eigenbasis.
 """
@@ -23,13 +24,16 @@ of the eigenbasis.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .measures import DistanceKind, coherence, distance
 from .qkernel import (
@@ -70,10 +74,10 @@ class SearchBudget:
     starts / max_evals control the inner (Alice basis) maximization;
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
-    search explores. The Alice searches run L-BFGS-B, so max_evals and
-    refine_evals cap value+gradient calls; every other search is Powell,
-    capped in value calls (outer_evals, or max_evals for
-    protocols.ree_numeric).
+    search explores. The Alice searches run the in-library L-BFGS
+    (_lbfgs), so max_evals and refine_evals cap value+gradient calls; every
+    other search is Powell, capped in value calls (outer_evals, or
+    max_evals for protocols.ree_numeric).
     """
 
     starts: int = 32
@@ -402,27 +406,170 @@ class _SearchOutcome(NamedTuple):
 # returned point exceeds this.
 GRAD_TOL = 1e-7
 
+# The gradient search (_lbfgs): L-BFGS as in Nocedal & Wright, Numerical
+# Optimization, ch. 3 and 7, with the curvature test and the restart after a
+# failed line search of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+# Comput. 16, 1995). Its objectives have 2 to a few dozen coordinates, where
+# arithmetic on Python floats costs less than numpy calls on short arrays.
+LBFGS_MEMORY = 10  # (s, y) pairs kept
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.9  # curvature
+# Longest trial step in chart coordinates. Far from the origin the chart is
+# ill-conditioned (the Bloch chart's sin 2h / h is about 1 / h), and a
+# quasi-Newton step along a nearly flat axis can land there.
+STEP_MAX = 1.0
+LS_MAX_EVALS = 20  # trial points in one line search
+
+
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+class _Point(NamedTuple):
+    """A trial point of a line search: step length, value, gradient, the
+    slope along the search direction and the point itself."""
+    a: float
+    f: float
+    g: list
+    slope: float
+    x: list
+
+
+def _cubic_step(p: _Point, q: _Point):
+    """Minimizer of the cubic through the values and slopes at p and q, or
+    None when it has no minimizer strictly between them (N&W eq. 3.59)."""
+    d1 = p.slope + q.slope - 3.0 * (p.f - q.f) / (p.a - q.a)
+    disc = d1 * d1 - p.slope * q.slope
+    if disc < 0.0:
+        return None
+    d2 = math.copysign(math.sqrt(disc), q.a - p.a)
+    den = q.slope - p.slope + 2.0 * d2
+    if den == 0.0:
+        return None
+    a = q.a - (q.a - p.a) * (q.slope + d2 - d1) / den
+    return a if min(p.a, q.a) < a < max(p.a, q.a) else None
+
+
+def _wolfe_step(evaluate, start: _Point, d: list, a: float, amax: float, trials: int):
+    """Strong-Wolfe line search along d from `start` (step 0), first trying
+    step a <= amax. It extrapolates by doubling up to amax; once it has a
+    bracket it takes the cubic step inside it, bisecting when the cubic has
+    no minimizer there or the bracket has not shrunk to 2/3 over two steps
+    (More-Thuente's rule). After `trials` trial points, or when the bracket
+    collapses, it returns its best point of sufficient decrease; None when
+    it has none."""
+    armijo = WOLFE_C1 * start.slope
+    curvature = -WOLFE_C2 * start.slope
+    lo, hi = start, None  # lo: the best point of sufficient decrease so far
+    width = width1 = math.inf  # bracket lengths one and two steps back
+    for _ in range(trials):
+        if hi is not None:
+            span = abs(hi.a - lo.a)
+            a = _cubic_step(lo, hi)
+            if a is None or span >= 0.66 * width1:
+                a = 0.5 * (lo.a + hi.a)
+            width1, width = width, span
+            if not min(lo.a, hi.a) < a < max(lo.a, hi.a):
+                break
+        x = [xi + a * di for xi, di in zip(start.x, d)]
+        f, g = evaluate(x)
+        cur = _Point(a, f, g, _dot(g, d), x)
+        if cur.f > start.f + armijo * a or cur.f >= lo.f:
+            hi = cur
+        elif abs(cur.slope) <= curvature:
+            return cur
+        elif hi is None and cur.slope < 0.0:
+            if a >= amax:
+                return cur
+            lo, a = cur, min(2.0 * a, amax)
+        else:
+            if hi is None or cur.slope * (hi.a - lo.a) >= 0.0:
+                hi = lo
+            lo = cur
+    return None if lo is start else lo
+
+
+def _lbfgs(fun, x0, maxfun, **_):
+    """L-BFGS on plain floats, as a custom method for scipy's minimize.
+
+    fun(x) returns (value, gradient). Directions come from the two-loop
+    recursion over the newest LBFGS_MEMORY pairs, scaled by s.y / y.y of the
+    newest; a pair is stored only if s.y > eps * (-g.s). With no pairs the
+    direction is -g and the first trial step has length one; no trial step
+    is longer than STEP_MAX. A failed line search drops the pairs and
+    retries along -g; the run stops when that fails too, on the gradient
+    test max|g| <= GRAD_TOL (its success), or after maxfun calls.
+    """
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        nfev += 1
+        f, g = fun(np.array(x))
+        return float(f), g.tolist()
+
+    x = x0.tolist()
+    f, g = evaluate(x)
+    cur = _Point(0.0, f, g, 0.0, x)
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y)
+    gamma = 1.0  # s.y / y.y of the newest pair
+    while max(map(abs, cur.g), default=0.0) > GRAD_TOL and nfev < maxfun:
+        # two-loop recursion for d = -H g
+        d = [-gi for gi in cur.g]
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * _dot(s, d)
+            d = [di - alpha * yi for di, yi in zip(d, y)]
+            alphas.append(alpha)
+        d = [gamma * di for di in d]
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            beta = alpha - rho * _dot(y, d)
+            d = [di + beta * si for di, si in zip(d, s)]
+        slope = _dot(cur.g, d)
+        norm = math.sqrt(_dot(d, d))
+        amax = STEP_MAX / norm
+        nxt = None
+        if slope < 0.0:
+            nxt = _wolfe_step(evaluate, _Point(0.0, cur.f, cur.g, slope, cur.x), d,
+                              min(1.0 if pairs else 1.0 / norm, amax), amax,
+                              min(LS_MAX_EVALS, maxfun - nfev))
+        if nxt is None:
+            if not pairs:
+                break
+            pairs.clear()
+            gamma = 1.0
+            continue
+        s = [b - a for a, b in zip(cur.x, nxt.x)]
+        y = [b - a for a, b in zip(cur.g, nxt.g)]
+        sy = _dot(s, y)
+        # L-BFGS-B's curvature test, with -g.s = -a g.d
+        if sy > sys.float_info.epsilon * -nxt.a * slope:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / _dot(y, y)
+        cur = nxt
+    return OptimizeResult(x=np.array(cur.x), fun=cur.f, jac=np.array(cur.g), nfev=nfev,
+                          success=max(map(abs, cur.g), default=0.0) <= GRAD_TOL)
+
 
 def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
                          gradient=False) -> _SearchOutcome:
     """A local search from each (fn, x0) of runs; the best outcome.
 
-    With `gradient`, fn returns (value, gradient) and L-BFGS-B runs with at
-    most max_evals calls; the outcome has converged when its gradient passes
-    GRAD_TOL. Otherwise Powell runs with max_evals value calls, xtol and ftol.
+    With `gradient`, fn returns (value, gradient) and the in-library L-BFGS
+    (_lbfgs) runs with at most max_evals calls; the outcome has converged
+    when its gradient passes GRAD_TOL. Otherwise Powell runs with max_evals
+    value calls, xtol and ftol. Both go through scipy's minimize.
     """
     best = None
     total = 0
     for idx, (fn, x0) in enumerate(runs):
         x0 = np.asarray(x0, dtype=float)
         if gradient:
-            res = minimize(fn, x0, method="L-BFGS-B", jac=True,
-                           options={"maxfun": int(max_evals), "ftol": 0.0, "gtol": GRAD_TOL})
-            converged = bool(np.abs(res.jac).max(initial=0.0) <= GRAD_TOL)
+            res = minimize(fn, x0, method=_lbfgs, options={"maxfun": int(max_evals)})
         else:
             res = minimize(fn, x0, method="Powell",
                            options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol})
-            converged = bool(res.success)
+        converged = bool(res.success)
         total += res.nfev
         # ties broken by start order: strict < keeps the earliest
         if best is None or res.fun < best.value:

@@ -379,7 +379,8 @@ def steering_induced_entanglement(rho_abc: DensityMatrix, alice: ProjectiveBasis
     exact entanglement entropy; mixed two-qubit cases fall back to the
     numerical relative-entropy upper bound and are flagged approximate.
     Returns (average, per_outcome) where each entry records probability,
-    entanglement and whether it was exact.
+    entanglement, whether it was exact, whether its search converged and the
+    steered BC state ("state", dims (db, dc)).
     """
     if rho_abc.n_subsystems != 3:
         raise ValueError("expected a tripartite state")
@@ -407,6 +408,7 @@ def steering_induced_entanglement(rho_abc: DensityMatrix, alice: ProjectiveBasis
                 "entanglement": ent,
                 "exact": exact,
                 "converged": converged,
+                "state": bc,
             }
         )
         avg += out.probability * ent
@@ -442,11 +444,9 @@ def verify_corollary1(varrho_ab: DensityMatrix, alice: ProjectiveBasis | None = 
     details = []
     # the copy gate acts on BC only, so both lists drop the same outcomes
     steered_b = steer(aligned, alice)
-    steered_bc = steer(regroup_dims(rho_abc, (da, db * db)), alice)
     all_exact = True
     for i, rec in enumerate(per_outcome):
-        bc = regroup_dims(steered_bc[i].state, (db, db))
-        c_bc = coherence(DistanceKind.RELATIVE_ENTROPY, bc, e_bc)
+        c_bc = coherence(DistanceKind.RELATIVE_ENTROPY, rec["state"], e_bc)
         c_b = coherence(DistanceKind.RELATIVE_ENTROPY, steered_b[i].state, e_b)
         if rec["exact"]:
             worst = min(worst, c_bc + chain_tol - rec["entanglement"])

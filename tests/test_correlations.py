@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize, rosen, rosen_der
 
 from steercoh import (
     ComparabilityWarning,
@@ -35,11 +36,14 @@ from steercoh import (
 )
 from steercoh import correlations
 from steercoh.correlations import (
+    _alice_objective,
     _b_marginal_family,
     _chart_unitary,
     _disturbance_objective,
     _exact_inner_l1_2q,
+    _lbfgs,
     _maximize_alice,
+    _negated,
     _objective_bloch_2q,
     _objective_general,
     _rotated,
@@ -275,6 +279,139 @@ def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
             assert f(rng.normal(scale=1.2, size=2))[0] <= top + 1e-12
         best = _maximize_alice(rho, bob, DistanceKind.L1, generous, rng)
         assert abs(best.value - top) <= 1e-8
+
+
+def _run_lbfgs(fn, x0, maxfun=2000):
+    return minimize(fn, np.asarray(x0, dtype=float), method=_lbfgs,
+                    options={"maxfun": maxfun})
+
+
+def _quadratic(rng, n):
+    """A strictly convex quadratic (condition number 100) as a
+    (value, gradient) function, with its minimizer."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.geomspace(0.1, 10.0, n)) @ q.T
+    xmin = rng.normal(size=n)
+    return (lambda x: (0.5 * (x - xmin) @ a @ (x - xmin), a @ (x - xmin))), xmin
+
+
+def test_lbfgs_converges_on_convex_quadratics():
+    rng = np.random.default_rng(21)
+    for n in (2, 6):
+        fn, xmin = _quadratic(rng, n)
+        res = _run_lbfgs(fn, np.zeros(n))
+        assert res.success
+        assert np.abs(res.jac).max() <= correlations.GRAD_TOL
+        assert np.abs(res.x - xmin).max() <= 1e-5
+
+
+def test_lbfgs_stops_at_maxfun():
+    res = _run_lbfgs(lambda x: (rosen(x), rosen_der(x)), [-1.2, 1.0], maxfun=10)
+    assert res.nfev <= 10
+    assert not res.success
+
+
+def test_lbfgs_stops_at_a_stationary_start():
+    fn, xmin = _quadratic(np.random.default_rng(22), 3)
+    res = _run_lbfgs(fn, xmin)
+    assert res.nfev == 1
+    assert res.success
+
+
+def test_lbfgs_trial_steps_stay_within_step_max(monkeypatch):
+    # a flat quadratic whose minimizer is far away: quasi-Newton steps would
+    # be tens of chart units long
+    real = correlations._wolfe_step
+    lengths = []
+
+    def checked(evaluate, start, *args):
+        def recorded(x):
+            lengths.append(float(np.linalg.norm(np.subtract(x, start.x))))
+            return evaluate(x)
+
+        return real(recorded, start, *args)
+
+    monkeypatch.setattr(correlations, "_wolfe_step", checked)
+    scale = np.array([1e-3, 2e-3, 5e-3])
+    xmin = np.array([40.0, -25.0, 60.0])
+    res = _run_lbfgs(lambda x: (0.5 * scale @ (x - xmin) ** 2, scale * (x - xmin)),
+                     np.zeros(3))
+    assert res.success
+    assert 1.0 - 1e-9 <= max(lengths) <= 1.0 + 1e-12
+
+
+def test_maximize_alice_searches_through_minimize(monkeypatch):
+    # perfbench's tracer counts searches by rebinding correlations.minimize
+    real = correlations.minimize
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(correlations, "minimize", counted)
+    rho = random_state_nondegenerate_b((2, 2), np.random.default_rng(23))
+    bob = _b_marginal_family(rho).base.matrix
+    res = _maximize_alice(rho, bob, DistanceKind.RELATIVE_ENTROPY,
+                          SearchBudget(starts=5, max_evals=200), np.random.default_rng(0))
+    assert len(calls) == 5
+    assert res.evals == sum(calls)
+
+
+def _scipy_lbfgsb(fn, x0):
+    """scipy's L-BFGS-B with the library's gradient test: the reference the
+    in-library L-BFGS replaced."""
+    res = minimize(fn, x0, method="L-BFGS-B", jac=True,
+                   options={"maxfun": 2000, "ftol": 0.0, "gtol": correlations.GRAD_TOL})
+    return res.fun, bool(np.abs(res.jac).max() <= correlations.GRAD_TOL)
+
+
+def test_lbfgs_agrees_with_scipy_lbfgsb_on_alice_searches():
+    rng = np.random.default_rng(24)
+    for dims, n_states, kinds in (((2, 2), 12, KINDS),
+                                  ((3, 2), 4, (DistanceKind.RELATIVE_ENTROPY,)),
+                                  ((3, 3), 4, (DistanceKind.RELATIVE_ENTROPY,))):
+        da = dims[0]
+        origin = np.zeros(da * da - da)
+        for _ in range(n_states):
+            rho = random_state_nondegenerate_b(dims, rng)
+            bob = _b_marginal_family(rho).base.matrix
+            frames = [np.eye(da), fourier_basis(da).matrix,
+                      *(haar_unitary(da, rng) for _ in range(6))]
+            for kind in kinds:
+                ours, ref = [], []
+                for frame in frames:
+                    f = _alice_objective(rho, frame, bob, kind)
+                    fn = lambda x, f=f: _negated(f(x))  # noqa: E731
+                    res = _run_lbfgs(fn, origin)
+                    assert res.success, (dims, kind)
+                    value, converged = _scipy_lbfgsb(fn, origin)
+                    assert converged, (dims, kind)
+                    ours.append(res.fun)
+                    ref.append(value)
+                assert abs(min(ours) - min(ref)) <= 1e-12, (dims, kind)
+
+
+def test_lbfgs_step_cap_on_a_bell_diagonal_flat_axis():
+    # Bob's basis is tilted off z, so the Bell-diagonal l1 objective at
+    # Alice's z start is stationary along one chart axis (up to a rounding-
+    # level asymmetry). Without STEP_MAX a later step jumps about 1e4 chart
+    # units, where the chart is ill-conditioned, and the search spends all
+    # 500 calls to stop unconverged at 0.892.
+    rng = np.random.default_rng(130)
+    rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
+    tiny = 1e-9 * rng.normal(size=2)
+    bob = _chart_unitary(2, np.array([rng.uniform(-0.05, 0.05), 0.0]) + tiny)
+    f = _objective_bloch_2q(_rotated(rho.data, np.eye(2), bob), DistanceKind.L1)
+    grad = np.abs(f(np.zeros(2))[1])
+    assert grad.min() <= 1e-7 and grad.max() >= 1e-1
+    fn = lambda x: _negated(f(x))  # noqa: E731
+    res = _run_lbfgs(fn, np.zeros(2), maxfun=500)
+    value, converged = _scipy_lbfgsb(fn, np.zeros(2))
+    assert res.success and converged
+    assert abs(res.fun - value) <= 1e-12
+    assert -res.fun > 0.915
 
 
 def test_b_side_mid_of_gap_example():

@@ -36,6 +36,7 @@ from steercoh import (
     von_neumann_entropy,
     werner_state,
 )
+from steercoh import protocols
 from steercoh.sampling import random_hs_state, random_pure
 
 LIGHT = SearchBudget(starts=6, max_evals=500, outer_starts=4, outer_evals=300,
@@ -346,6 +347,27 @@ def test_verify_corollary1_mixed_input_uses_numeric_fallback():
     rep = verify_corollary1(rho, budget=SearchBudget(starts=4, max_evals=800), seed=0)
     assert rep.status == PASS
     assert any("informational" in line for line in rep.details)
+
+
+def test_verify_corollary1_steers_the_protocol_state_once(monkeypatch):
+    # the BC coherences reuse the steered states of steering_induced_entanglement
+    real = protocols.steer
+    dims = []
+
+    def counted(rho, basis):
+        dims.append(rho.dims)
+        return real(rho, basis)
+
+    monkeypatch.setattr(protocols, "steer", counted)
+    rho = random_pure((2, 2), np.random.default_rng(5))
+    rep = verify_corollary1(rho, budget=LIGHT, seed=0)
+    assert rep.status == PASS
+    assert sorted(dims) == [(2, 2), (2, 4)]
+    _, per = steering_induced_entanglement(prepare_protocol_state(rho),
+                                           fourier_basis(2), LIGHT, seed=0)
+    for rec in per:
+        assert rec["state"].dims == (2, 2)
+        assert np.isclose(np.trace(rec["state"].data).real, 1.0, atol=1e-12)
 
 
 def test_verify_corollary1_rejects_degenerate_b_marginal():
