@@ -13,12 +13,13 @@ the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the G_k are the
 d*d - d off-diagonal generalized Gell-Mann matrices: one coordinate per
 direction of the set of bases, none that only rephases a ket. Alice's
 starts are the identity, the Fourier basis and Haar-random frames. Both
-Alice objectives (the two-qubit Bloch form and the general one) supply an
-analytic gradient in these coordinates and are maximized by an L-BFGS on
-plain floats (_lbfgs, handed to scipy's minimize as a custom method); the
-disturbance and eigenbasis searches run scipy's Powell. Degenerate marginals
-add an outer minimization over the same chart on each degenerate block
-of the eigenbasis.
+Alice objectives (the two-qubit Bloch form and the general one) and the
+disturbance objective supply an analytic gradient in these coordinates and
+are optimized by an L-BFGS on plain floats (_lbfgs, handed to scipy's
+minimize as a custom method); each disturbance start re-centres the
+eigenbasis charts on its own frame. The eigenbasis search of sic runs
+scipy's Powell. Degenerate marginals add an outer minimization over the
+same chart on each degenerate block of the eigenbasis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 import sys
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -74,10 +75,11 @@ class SearchBudget:
     starts / max_evals control the inner (Alice basis) maximization;
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
-    search explores. The Alice searches run the in-library L-BFGS
-    (_lbfgs), so max_evals and refine_evals cap value+gradient calls; every
-    other search is Powell, capped in value calls (outer_evals, or
-    max_evals for protocols.ree_numeric).
+    search explores. The Alice and disturbance searches run the in-library
+    L-BFGS (_lbfgs), so max_evals, refine_evals and, in b_side_mid and mid,
+    outer_evals cap value+gradient calls. The eigenbasis search of sic and
+    protocols.ree_numeric run Powell, capped in value calls (outer_evals and
+    max_evals).
     """
 
     starts: int = 32
@@ -111,16 +113,40 @@ def _offdiagonal_generators(d: int) -> np.ndarray:
     return out
 
 
+def _chart_eigh(d: int, x: np.ndarray):
+    """eigh of sum_k x_k G_k over the off-diagonal generators: the (w, v)
+    that _chart_unitary exponentiates and _chart_pullback differentiates."""
+    return np.linalg.eigh((x @ _offdiagonal_generators(d)).reshape(d, d))
+
+
 def _chart_unitary(d: int, x: np.ndarray) -> np.ndarray:
     """exp(i sum_k x_k G_k) over the off-diagonal generators. A basis search
     centred on a frame U0 (kets as columns) visits U0 @ _chart_unitary(d, x)
     from x = 0; the d*d - d coordinates leave no direction that only moves
     the phases of the kets."""
-    h = (x @ _offdiagonal_generators(d)).reshape(d, d)
-    w, v = np.linalg.eigh(h)
+    w, v = _chart_eigh(d, x)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def _chart_pullback(hw: np.ndarray, hv: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
+    """Gradient in the chart coordinates x, given the chart's eigh (hw, hv)
+    = _chart_eigh(d, x) and the gradient grad_u in the unitary u (df = Re
+    tr(grad_u^dag du)).
+
+    Daleckii-Krein: d exp(iH) = V (phi o V^dag dH V) V^dag, where
+    phi_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) (i e^{iw_j} when equal),
+    written as i e^{i(w_j + w_k)/2} sin(h) / h with h = (w_j - w_k) / 2 so
+    close eigenvalues do not cancel.
+    """
+    half = 0.5 * (hw[:, None] - hw[None, :])
+    ratio = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    phi_conj = -1j * np.exp(-0.5j * (hw[:, None] + hw[None, :])) * ratio
+    hvh = hv.conj().T
+    y = hv @ (phi_conj * (hvh @ grad_u @ hv)) @ hvh
+    return (_offdiagonal_generators(hw.size) @ y.conj().ravel()).real
+
+
+@lru_cache(maxsize=32)
 def fourier_basis(d: int) -> ProjectiveBasis:
     """Basis mutually unbiased to the computational one:
     |xi_k> = d**-0.5 * sum_j exp(-2 pi i k j / d) |j>."""
@@ -180,17 +206,37 @@ class EigenbasisFamily:
             raise ValueError(f"expected {self.n_params} parameters, got {params.size}")
         return ProjectiveBasis.from_columns(self._columns(params))
 
+    def centred(self, params) -> "EigenbasisFamily":
+        """The same family with its chart centred on member(params)."""
+        return replace(self, base=self.member(params))
+
     def _columns(self, params) -> np.ndarray:
         """Unchecked member(params) as a unitary with the kets as columns."""
+        return self._columns_with_pullback(params)[0]
+
+    def _columns_with_pullback(self, params):
+        """_columns(params) and the map taking a gradient in those columns
+        (df = Re tr(grad^dag dcols)) to the gradient in params."""
         cols = np.array(self.base.matrix)
+        charts = []
         off = 0
         for blk in self.active_blocks:
             m = len(blk)
             n = m * m - m
             idx = slice(blk[0], blk[-1] + 1)  # clusters are runs of sorted eigenvalues
-            cols[:, idx] = cols[:, idx] @ _chart_unitary(m, params[off:off + n])
+            frame = cols[:, idx].copy()  # a view would see the rotated columns
+            hw, hv = _chart_eigh(m, params[off:off + n])
+            cols[:, idx] = frame @ ((hv * np.exp(1j * hw)) @ hv.conj().T)
+            charts.append((slice(off, off + n), idx, frame, hw, hv))
             off += n
-        return cols
+
+        def pullback(grad: np.ndarray) -> np.ndarray:
+            out = np.empty(off)
+            for at, idx, frame, hw, hv in charts:
+                out[at] = _chart_pullback(hw, hv, frame.conj().T @ grad[:, idx])
+            return out
+
+        return cols, pullback
 
 
 def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
@@ -217,10 +263,15 @@ def _entropy_slope(t: float) -> float:
                   - math.log2(max(0.5 * (1.0 + t), EIG_FLOOR)))
 
 
+def _product_frame(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """ua (x) ub, formed by broadcasting."""
+    n = ua.shape[0] * ub.shape[0]
+    return (ua[:, None, :, None] * ub[None, :, None, :]).reshape(n, n)
+
+
 def _rotated(data: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """v^dag data v for v = ua (x) ub, a bipartite frame change; the product
-    is formed by broadcasting."""
-    v = (ua[:, None, :, None] * ub[None, :, None, :]).reshape(data.shape)
+    """v^dag data v for v = ua (x) ub, a bipartite frame change."""
+    v = _product_frame(ua, ub)
     return v.conj().T @ data @ v
 
 
@@ -311,15 +362,14 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
     homogeneous of degree one, so dF = tr(dm_i G_i) with G_i = log2 rho_i -
     log2 Delta(rho_i) for kind 'r' and the phases m_i / |m_i| off the
     diagonal for 'l1'. Since m_i is quadratic in Alice's ket u_i, the
-    gradient in the kets is M[:, i] = 2 K_i u_i with K_i = tr_B(sig (1 x G_i));
-    the Daleckii-Krein formula on the chart's eigh pulls it back to x.
+    gradient in the kets is M[:, i] = 2 K_i u_i with K_i = tr_B(sig (1 x G_i)),
+    pulled back to x by _chart_pullback.
     """
     # amat[(a,c),(b,d)] = sig[(a,b),(c,d)]: Alice's index pair on the rows
     amat = sig.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     diag = slice(None, None, db + 1)  # diagonal of a flattened db x db block
     is_l1 = kind is DistanceKind.L1
     gens = _offdiagonal_generators(da)
-    gens_conj = gens.conj()
 
     def f(params):
         # _chart_unitary(da, params), keeping its eigh for the gradient
@@ -352,13 +402,7 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
         # K[(a,c), i] = tr_B(sig (1 x G_i))[a, c], using G_i^T = conj(G_i)
         kmat = (amat @ (g.conj().T * good)).reshape(da, da, da)
         grad_u = 2.0 * (kmat * u[None, :, :]).sum(axis=1)
-        # Daleckii-Krein: d exp(iH) = V (phi o V^dag dH V) V^dag, where
-        # phi_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) (i e^{iw_j} when equal),
-        # written with sinc so close eigenvalues do not cancel
-        phi = 1j * np.exp(0.5j * (hw[:, None] + hw[None, :])) * np.sinc(
-            (hw[:, None] - hw[None, :]) / (2.0 * np.pi))
-        y = hv @ (phi.conj() * (hv.conj().T @ grad_u @ hv)) @ hv.conj().T
-        return float(ps @ per), (gens_conj @ y.reshape(-1)).real
+        return float(ps @ per), _chart_pullback(hw, hv, grad_u)
 
     return f
 
@@ -607,42 +651,90 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
 
 def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
                            fam_b: EigenbasisFamily, kind: DistanceKind):
-    """Distance from rho to its dephasing in the family members picked by
-    phi = (fam_a params, fam_b params); only B is dephased when fam_a is None.
-    In the members' frame the dephasing (a pinching, so the relative entropy
-    is an entropy gap) keeps the entries marked by `keep`."""
+    """Objective phi -> (value, gradient): the distance from rho to its
+    dephasing in the family members picked by phi = (fam_a params, fam_b
+    params); only B is dephased when fam_a is None.
+
+    In the members' frame sigma = v^dag rho v, v = ua (x) ub, the dephasing
+    (a pinching, so the relative entropy is an entropy gap) keeps the
+    entries marked by `keep`, and df = tr(M dsigma) with M = -log2 of the
+    kept part for kind 'r' (eigenvalues floored at EIG_FLOOR) and M = S -
+    Delta(S), S = sign(sigma - kept part), for 't'. The gradient in v is
+    2 rho v M; contracting it with conj(ua) or conj(ub) splits it by side,
+    and each family pulls its side back to its chart. With no parameters
+    the gradient is empty and none of it is computed.
+    """
     da, db = rho.dims
     data = rho.data
     na = 0 if fam_a is None else fam_a.n_params
+    n = na + fam_b.n_params
     eye_a = np.eye(da)
     keep = np.kron(np.ones((da, da)) if fam_a is None else eye_a, np.eye(db))
     is_r = kind is DistanceKind.RELATIVE_ENTROPY
     s_rho = von_neumann_entropy(rho) if is_r else 0.0
+    empty = np.zeros(0)
 
     def obj(phi):
-        ua = eye_a if fam_a is None else fam_a._columns(phi[:na])
-        ub = fam_b._columns(phi[na:])
-        rot = _rotated(data, ua, ub)
+        if n == 0:
+            rot = _rotated(data, eye_a if fam_a is None else fam_a.base.matrix,
+                           fam_b.base.matrix)
+            if is_r:
+                value = float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho
+                return max(0.0, value), empty
+            return float(np.abs(np.linalg.eigvalsh(rot - rot * keep)).sum()), empty
+        ua, pull_a = (eye_a, None) if fam_a is None else fam_a._columns_with_pullback(phi[:na])
+        ub, pull_b = fam_b._columns_with_pullback(phi[na:])
+        v = _product_frame(ua, ub)
+        rot = v.conj().T @ data @ v
         if is_r:
-            return max(0.0, float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho)
-        return float(np.abs(np.linalg.eigvalsh(rot - rot * keep)).sum())
+            lam, vec = np.linalg.eigh(rot * keep)
+            value = float(_entropy_rows(lam)) - s_rho
+            if value <= 0.0:
+                return 0.0, np.zeros(n)
+            mmat = (vec * -np.log2(np.maximum(lam, EIG_FLOOR))) @ vec.conj().T
+        else:
+            lam, vec = np.linalg.eigh(rot - rot * keep)
+            value = float(np.abs(lam).sum())
+            sgn = (vec * np.sign(lam)) @ vec.conj().T
+            mmat = sgn - sgn * keep
+        g = (2.0 * (data @ v @ mmat)).reshape(da, db, da, db)
+        grad_b = pull_b(np.einsum("abcd,ac->bd", g, ua.conj()))
+        if not na:
+            return value, grad_b
+        return value, np.concatenate([pull_a(np.einsum("abcd,bd->ac", g, ub.conj())), grad_b])
 
     return obj
 
 
 def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
                           fam_b: EigenbasisFamily, kind: DistanceKind,
-                          budget: SearchBudget, seed: int) -> _SearchOutcome:
-    obj = _disturbance_objective(rho, fam_a, fam_b, kind)
-    n = fam_b.n_params + (0 if fam_a is None else fam_a.n_params)
+                          budget: SearchBudget, seed: int):
+    """Minimum of _disturbance_objective over the families' charts, as
+    (outcome, fam_a, fam_b) with the families of the winning start, in whose
+    charts the outcome's x lies.
+
+    Each start is a frame: the families re-centred on their members at the
+    start point (the origin, then seeded Gaussian draws), searched by the
+    L-BFGS from phi = 0. A chart maps the whole sphere |x| = pi / sqrt(2)
+    of each 2-fold block back onto its centre with the kets swapped; when
+    the centre is a saddle that sphere attracts, so every start sharing one
+    chart can stop there, stationary but not minimal.
+    """
+    na = 0 if fam_a is None else fam_a.n_params
+    n = na + fam_b.n_params
     if n == 0:
-        return _SearchOutcome(obj(np.zeros(0)), np.zeros(0), True, 1, 0)
+        value, _ = _disturbance_objective(rho, fam_a, fam_b, kind)(np.zeros(0))
+        return _SearchOutcome(value, np.zeros(0), True, 1, 0), fam_a, fam_b
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(n)]
-    while len(starts) < budget.outer_starts:
-        starts.append(rng.normal(scale=1.2, size=n))
-    return _multistart_minimize(((obj, x0) for x0 in starts), budget.outer_evals,
-                                xtol=1e-8, ftol=1e-13)
+    frames = [(fam_a, fam_b)]
+    while len(frames) < budget.outer_starts:
+        x = rng.normal(scale=1.2, size=n)
+        frames.append((None if fam_a is None else fam_a.centred(x[:na]),
+                       fam_b.centred(x[na:])))
+    res = _multistart_minimize(
+        ((_disturbance_objective(rho, fa, fb, kind), np.zeros(n)) for fa, fb in frames),
+        budget.outer_evals, gradient=True)
+    return (res, *frames[res.run])
 
 
 def _check_mid_args(rho: DensityMatrix, kind, name: str) -> DistanceKind:
@@ -666,8 +758,8 @@ class MidResult(NamedTuple):
 def b_side_mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                        seed: int = 0) -> MidResult:
     kind = _check_mid_args(rho, kind, "b_side_mid")
-    fam = _b_marginal_family(rho)
-    res = _minimize_disturbance(rho, None, fam, kind, budget or DEFAULT_BUDGET, seed)
+    res, _, fam = _minimize_disturbance(rho, None, _b_marginal_family(rho), kind,
+                                        budget or DEFAULT_BUDGET, seed)
     return MidResult(res.value, fam.member(res.x), res.converged)
 
 
@@ -688,9 +780,9 @@ class MidJointResult(NamedTuple):
 def mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                seed: int = 0) -> MidJointResult:
     kind = _check_mid_args(rho, kind, "mid")
-    fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
-    fam_b = _b_marginal_family(rho)
-    res = _minimize_disturbance(rho, fam_a, fam_b, kind, budget or DEFAULT_BUDGET, seed)
+    res, fam_a, fam_b = _minimize_disturbance(
+        rho, EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data),
+        _b_marginal_family(rho), kind, budget or DEFAULT_BUDGET, seed)
     na = fam_a.n_params
     return MidJointResult(res.value, fam_a.member(res.x[:na]),
                           fam_b.member(res.x[na:]), res.converged)
