@@ -57,7 +57,7 @@ from .sampling import (
     random_state_nondegenerate_b,
     random_stinespring_kraus,
 )
-from .twoqubit import _pauli_coefficients
+from .twoqubit import _max_steered_l1, _pauli_coefficients
 
 # Eigenvalues closer than this are treated as degenerate, activating the
 # eigenbasis-family optimization.
@@ -846,23 +846,23 @@ def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
 
 
 def _exact_inner_l1_2q(rho: DensityMatrix):
-    """Exact inner maximum for two qubits with rho_B maximally mixed.
+    """Exact inner maximum for two qubits, as a function of Bob's basis.
 
-    In Bloch form the averaged steered l1 coherence at Alice direction u and
-    reference axis n is |P T^t u| with P the projector onto the plane
-    orthogonal to n (the local terms cancel because b = 0), so the maximum
-    over u is the top singular value of P T^t. Used only to steer the outer
-    search; the returned witness value always comes from the generic path.
+    The averaged steered l1 coherence at Alice direction u and Bob's
+    reference axis n is |(1 - n n^t) T^t u| whenever n is parallel to b, so
+    on any eigenbasis of rho_B (every basis when rho_B is maximally mixed)
+    the maximum over u is twoqubit._max_steered_l1(T, n). Used only to steer
+    the outer search; the returned witness value always comes from the
+    generic path.
     """
-    tmat_t = _pauli_coefficients(rho.data)[1:, 1:].T
+    tmat = _pauli_coefficients(rho.data)[1:, 1:]
 
     def value(bob: np.ndarray) -> float:
         v = bob[:, 0]
         rho01 = v[0] * np.conj(v[1])
         n = np.array([2.0 * rho01.real, -2.0 * rho01.imag,
                       abs(v[0]) ** 2 - abs(v[1]) ** 2])
-        proj = np.eye(3) - np.outer(n, n)
-        return float(np.linalg.svd(proj @ tmat_t, compute_uv=False)[0])
+        return _max_steered_l1(tmat, n)
 
     return value
 

@@ -269,18 +269,23 @@ def test_bloch_objective_gradient_matches_general():
 
 def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
     rng = np.random.default_rng(16)
-    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
-    exact = _exact_inner_l1_2q(rho)
-    fam = _b_marginal_family(rho)
     generous = SearchBudget(starts=8, max_evals=3000)
-    for _ in range(3):
-        bob = fam.member(rng.normal(scale=1.2, size=fam.n_params)).matrix
-        top = exact(bob)
+
+    def check(rho, bob):
+        top = _exact_inner_l1_2q(rho)(bob)
         f = _objective_bloch_2q(_rotated(rho.data, np.eye(2), bob), DistanceKind.L1)
         for _ in range(200):
             assert f(rng.normal(scale=1.2, size=2))[0] <= top + 1e-12
         best = _maximize_alice(rho, bob, DistanceKind.L1, generous, rng)
         assert abs(best.value - top) <= 1e-8
+
+    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
+    fam = _b_marginal_family(rho)
+    for _ in range(3):
+        check(rho, fam.member(rng.normal(scale=1.2, size=fam.n_params)).matrix)
+    # a generic b != 0 state at its own eigenbasis, where n is parallel to b
+    rho = random_state_nondegenerate_b((2, 2), rng)
+    check(rho, _b_marginal_family(rho).base.matrix)
 
 
 def _run_lbfgs(fn, x0, maxfun=2000):

@@ -1,13 +1,10 @@
-"""Pauli expansion, canonical frames and the closed-form steering value."""
-
-import math
+"""Pauli expansion and the closed-form steering value."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from steercoh import (
-    DegenerateBlochError,
     DensityMatrix,
     InvalidStateError,
     PASS,
@@ -16,18 +13,21 @@ from steercoh import (
     bell_diagonal_state,
     bell_state,
     bloch_vector,
-    canonical_form,
-    closed_form_sic_l1,
-    diagonal_form,
     gap_example,
     partial_trace,
     pauli_decompose,
     reconstruct,
+    sic,
     sic_l1_closed,
     verify_theorem3,
     werner_state,
 )
-from steercoh.sampling import haar_unitary, random_hs_state
+from steercoh.sampling import (
+    haar_unitary,
+    random_hs_state,
+    random_pure,
+    random_state_nondegenerate_b,
+)
 
 LIGHT = SearchBudget(starts=6, max_evals=500, outer_starts=4, outer_evals=300,
                      refine_evals=70)
@@ -99,69 +99,35 @@ def test_reconstruct_rejects_unphysical_coefficients():
         reconstruct(PauliTheta(th))
 
 
-def test_canonical_form_zero_pattern():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        rho = random_hs_state((2, 2), rng)
-        th = pauli_decompose(rho)
-        if np.linalg.norm(th.b) < 1e-6:
-            continue
-        can, rot_a, rot_b = canonical_form(th)
-        assert abs(can.b[0]) <= 1e-9 and abs(can.b[1]) <= 1e-9
-        assert can.b[2] > 0
-        for idx in ((0, 0), (0, 1), (1, 0)):
-            assert abs(can.tmat[idx]) <= 1e-9
-        assert_allclose(can.tmat, rot_a @ th.tmat @ rot_b.T, atol=1e-10)
-        assert np.isclose(np.linalg.det(rot_a), 1.0, atol=1e-10)
-        assert np.isclose(np.linalg.det(rot_b), 1.0, atol=1e-10)
-
-
-def test_canonical_form_requires_nonzero_b():
-    with pytest.raises(DegenerateBlochError):
-        canonical_form(pauli_decompose(bell_state()))
-
-
-def test_diagonal_form_sorts_magnitudes():
-    rho = bell_diagonal_state([0.45, 0.3, 0.15, 0.1])
-    di = diagonal_form(pauli_decompose(rho))
-    t = np.diagonal(di.tmat)
-    off = di.tmat - np.diag(t)
-    assert np.abs(off).max() <= 1e-12
-    mags = np.abs(t)
-    assert mags[0] >= mags[1] >= mags[2]
-
-
-def test_closed_form_rejects_wrong_patterns():
-    th = np.zeros((4, 4))
-    th[0, 0] = 1.0
-    th[1:, 1:] = np.diag([0.1, 0.5, 0.2])  # not magnitude sorted
-    with pytest.raises(ValueError):
-        closed_form_sic_l1(PauliTheta(th))
-    th2 = np.zeros((4, 4))
-    th2[0, 0] = 1.0
-    th2[0, 1:] = [0.0, 0.0, 0.4]
-    th2[1:, 1:] = np.full((3, 3), 0.2)  # upper corner not cleared
-    with pytest.raises(ValueError):
-        closed_form_sic_l1(PauliTheta(th2))
-
-
-def test_radical_identity():
-    # the nested radical equals (sqrt(s + 2 p) + sqrt(s - 2 p)) / 2 with
-    # s = T22^2 + T31^2 + T32^2 and p = T22 * T31
+def test_closed_form_equals_the_radical_in_the_canonical_frame():
+    # Theta already in the paper's frame (b along +z, T11 = T12 = T21 = 0),
+    # entries small enough to keep the state positive
     rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 5:
-        rho = random_hs_state((2, 2), rng)
-        th = pauli_decompose(rho)
-        if np.linalg.norm(th.b) < 1e-6:
-            continue
-        can, _, _ = canonical_form(th)
-        t22, t31, t32 = can.tmat[1, 1], can.tmat[2, 0], can.tmat[2, 1]
-        s = t22 ** 2 + t31 ** 2 + t32 ** 2
-        p = t22 * t31
-        expect = 0.5 * (math.sqrt(s + 2 * p) + math.sqrt(s - 2 * p))
-        assert np.isclose(closed_form_sic_l1(can), expect, atol=1e-12)
-        checked += 1
+    for _ in range(20):
+        th = np.zeros((4, 4))
+        th[0, 0] = 1.0
+        th[1:, 0] = rng.uniform(-0.15, 0.15, size=3)
+        th[0, 3] = rng.uniform(0.01, 0.15)
+        th[1:, 1:] = rng.uniform(-0.15, 0.15, size=(3, 3))
+        th[1, 1] = th[1, 2] = th[2, 1] = 0.0
+        t22, t31, t32 = th[2, 2], th[3, 1], th[3, 2]
+        radical = np.sqrt((t22 ** 2 + t31 ** 2 + t32 ** 2) / 2
+                          + np.sqrt((t32 ** 2 + t22 ** 2) ** 2
+                                    + 2 * t31 ** 2 * (t32 ** 2 - t22 ** 2)
+                                    + t31 ** 4) / 2)
+        assert abs(sic_l1_closed(reconstruct(PauliTheta(th))) - radical) <= 1e-12
+
+
+def test_closed_form_matches_the_search_on_pure_states():
+    # pure states put the two singular values of T (1 - b b^t / |b|^2)
+    # together, where the paper's nested radical amplifies rounding to ~3e-9
+    rng = np.random.default_rng(31)
+    budget = SearchBudget(starts=16, max_evals=4000)
+    for i in range(20):
+        rho = random_state_nondegenerate_b((2, 2), rng, pure=True)
+        res = sic(rho, "l1", budget, seed=i)
+        assert res.converged
+        assert abs(sic_l1_closed(rho) - res.value) <= 1e-10
 
 
 def test_closed_form_frozen_values():
@@ -173,12 +139,14 @@ def test_closed_form_frozen_values():
 
 def test_closed_form_invariant_under_local_unitaries():
     rng = np.random.default_rng(8)
-    rho = random_hs_state((2, 2), rng)
-    base = sic_l1_closed(rho)
-    for _ in range(3):
-        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        rotated = DensityMatrix(u @ rho.data @ u.conj().T, (2, 2))
-        assert np.isclose(sic_l1_closed(rotated), base, atol=1e-9)
+    states = [random_hs_state((2, 2), rng), random_pure((2, 2), rng),
+              bell_diagonal_state([0.45, 0.3, 0.15, 0.1])]
+    for rho in states:
+        base = sic_l1_closed(rho)
+        for _ in range(3):
+            u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            rotated = DensityMatrix(u @ rho.data @ u.conj().T, (2, 2))
+            assert np.isclose(sic_l1_closed(rotated), base, atol=1e-9)
 
 
 def test_branch_continuity_near_vanishing_b():
