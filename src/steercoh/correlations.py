@@ -16,21 +16,23 @@ starts are the identity, the Fourier basis and Haar-random frames. Both
 Alice objectives (the two-qubit Bloch form and the general one) and the
 disturbance objective supply an analytic gradient in these coordinates and
 are optimized by an L-BFGS on plain floats (_lbfgs, handed to scipy's
-minimize as a custom method); each disturbance start re-centres the
-eigenbasis charts on its own frame. The eigenbasis search of sic runs
-scipy's Powell. Degenerate marginals add an outer minimization over the
-same chart on each degenerate block of the eigenbasis.
+minimize as a custom method): an objective takes the trial point as a list
+of floats and returns (value, gradient), the gradient a list or an array.
+Each disturbance start re-centres the eigenbasis charts on its own frame.
+The eigenbasis search of sic runs scipy's Powell. Degenerate marginals add
+an outer minimization over the same chart on each degenerate block of the
+eigenbasis. Each search draws all of its random starts in one call, which
+gives the same starts as one draw per start.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul, neg, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +53,7 @@ from .qkernel import (
 )
 from .report import FAIL, PASS, VerificationReport
 from .sampling import (
+    haar_unitaries,
     haar_unitary,
     random_b_classical,
     random_permutation_phase_kraus,
@@ -286,8 +289,8 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
     homogeneous of degree one in (p, v), so its derivatives are grad C / 2
     in v and C - r.grad C in p; the chain rule through u(x) gives the
     gradient. Outcomes below ZERO_PROB and terms clipped at zero add none.
-    Scalar Python apart from the returned array: numpy calls on 3-vectors
-    cost more than the arithmetic they do.
+    Scalar Python throughout, the gradient returned as a list: numpy calls
+    on 3-vectors cost more than the arithmetic they do.
     """
     th = _pauli_coefficients(sig)
     a0, a1, a2 = th[1:, 0].tolist()
@@ -298,7 +301,7 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
     is_l1 = kind is DistanceKind.L1
 
     def f(params):
-        x0, x1 = params.tolist()
+        x0, x1 = params
         hx, hy = x0 / s2, x1 / s2
         h = math.sqrt(hx * hx + hy * hy)
         c = math.cos(2.0 * h)
@@ -349,7 +352,7 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
         # pull back through u(h): ds/dh_k = q h_k, d(cos 2h)/dh_k = -2 s h_k
         gx = -g0 * q * hx * hy + g1 * (s + q * hx * hx) - 2.0 * g2 * s * hx
         gy = -g0 * (s + q * hy * hy) + g1 * q * hx * hy - 2.0 * g2 * s * hy
-        return total, np.array((gx / s2, gy / s2))
+        return total, [gx / s2, gy / s2]
 
     return f
 
@@ -373,7 +376,7 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
 
     def f(params):
         # _chart_unitary(da, params), keeping its eigh for the gradient
-        hw, hv = np.linalg.eigh((params @ gens).reshape(da, da))
+        hw, hv = np.linalg.eigh((np.asarray(params) @ gens).reshape(da, da))
         u = (hv * np.exp(1j * hw)) @ hv.conj().T
         w = (u.conj()[:, None, :] * u[None, :, :]).reshape(da * da, da)
         # row i is outcome i's unnormalised steered state, flattened
@@ -465,10 +468,6 @@ STEP_MAX = 1.0
 LS_MAX_EVALS = 20  # trial points in one line search
 
 
-def _dot(u, v) -> float:
-    return sum(map(operator.mul, u, v))
-
-
 class _Point(NamedTuple):
     """A trial point of a line search: step length, value, gradient, the
     slope along the search direction and the point itself."""
@@ -517,7 +516,7 @@ def _wolfe_step(evaluate, start: _Point, d: list, a: float, amax: float, trials:
                 break
         x = [xi + a * di for xi, di in zip(start.x, d)]
         f, g = evaluate(x)
-        cur = _Point(a, f, g, _dot(g, d), x)
+        cur = _Point(a, f, g, sum(map(mul, g, d)), x)
         if cur.f > start.f + armijo * a or cur.f >= lo.f:
             hi = cur
         elif abs(cur.slope) <= curvature:
@@ -536,45 +535,45 @@ def _wolfe_step(evaluate, start: _Point, d: list, a: float, amax: float, trials:
 def _lbfgs(fun, x0, maxfun, **_):
     """L-BFGS on plain floats, as a custom method for scipy's minimize.
 
-    fun(x) returns (value, gradient). Directions come from the two-loop
-    recursion over the newest LBFGS_MEMORY pairs, scaled by s.y / y.y of the
-    newest; a pair is stored only if s.y > eps * (-g.s). With no pairs the
-    direction is -g and the first trial step has length one; no trial step
-    is longer than STEP_MAX. A failed line search drops the pairs and
-    retries along -g; the run stops when that fails too, on the gradient
-    test max|g| <= GRAD_TOL (its success), or after maxfun calls.
+    fun(x) takes the point as a list of floats and returns (value,
+    gradient), the gradient a list or an array. Directions come from the
+    two-loop recursion over the newest LBFGS_MEMORY pairs, scaled by s.y /
+    y.y of the newest; a pair is stored only if s.y > eps * (-g.s). With no
+    pairs the direction is -g and the first trial step has length one; no
+    trial step is longer than STEP_MAX. A failed line search drops the
+    pairs and retries along -g; the run stops when that fails too, on the
+    gradient test max|g| <= GRAD_TOL (its success), or after maxfun calls.
     """
     nfev = 0
 
     def evaluate(x):
         nonlocal nfev
         nfev += 1
-        f, g = fun(np.array(x))
-        return float(f), g.tolist()
+        f, g = fun(x)
+        return float(f), g if g.__class__ is list else g.tolist()
 
     x = x0.tolist()
     f, g = evaluate(x)
-    cur = _Point(0.0, f, g, 0.0, x)
-    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y)
+    pairs = []  # (s, y, 1 / s.y), oldest first
     gamma = 1.0  # s.y / y.y of the newest pair
-    while max(map(abs, cur.g), default=0.0) > GRAD_TOL and nfev < maxfun:
+    while max(map(abs, g), default=0.0) > GRAD_TOL and nfev < maxfun:
         # two-loop recursion for d = -H g
-        d = [-gi for gi in cur.g]
+        d = list(map(neg, g))
         alphas = []
         for s, y, rho in reversed(pairs):
-            alpha = rho * _dot(s, d)
+            alpha = rho * sum(map(mul, s, d))
             d = [di - alpha * yi for di, yi in zip(d, y)]
             alphas.append(alpha)
         d = [gamma * di for di in d]
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            beta = alpha - rho * _dot(y, d)
+            beta = alpha - rho * sum(map(mul, y, d))
             d = [di + beta * si for di, si in zip(d, s)]
-        slope = _dot(cur.g, d)
-        norm = math.sqrt(_dot(d, d))
+        slope = sum(map(mul, g, d))
+        norm = math.sqrt(sum(map(mul, d, d)))
         amax = STEP_MAX / norm
         nxt = None
         if slope < 0.0:
-            nxt = _wolfe_step(evaluate, _Point(0.0, cur.f, cur.g, slope, cur.x), d,
+            nxt = _wolfe_step(evaluate, _Point(0.0, f, g, slope, x), d,
                               min(1.0 if pairs else 1.0 / norm, amax), amax,
                               min(LS_MAX_EVALS, maxfun - nfev))
         if nxt is None:
@@ -583,26 +582,30 @@ def _lbfgs(fun, x0, maxfun, **_):
             pairs.clear()
             gamma = 1.0
             continue
-        s = [b - a for a, b in zip(cur.x, nxt.x)]
-        y = [b - a for a, b in zip(cur.g, nxt.g)]
-        sy = _dot(s, y)
+        a, f, g_new, _, x_new = nxt
+        s = list(map(sub, x_new, x))
+        y = list(map(sub, g_new, g))
+        sy = sum(map(mul, s, y))
         # L-BFGS-B's curvature test, with -g.s = -a g.d
-        if sy > sys.float_info.epsilon * -nxt.a * slope:
+        if sy > sys.float_info.epsilon * -a * slope:
+            if len(pairs) == LBFGS_MEMORY:
+                del pairs[0]
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / _dot(y, y)
-        cur = nxt
-    return OptimizeResult(x=np.array(cur.x), fun=cur.f, jac=np.array(cur.g), nfev=nfev,
-                          success=max(map(abs, cur.g), default=0.0) <= GRAD_TOL)
+            gamma = sy / sum(map(mul, y, y))
+        x, g = x_new, g_new
+    return OptimizeResult(x=np.array(x), fun=f, jac=np.array(g), nfev=nfev,
+                          success=max(map(abs, g), default=0.0) <= GRAD_TOL)
 
 
 def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
                          gradient=False) -> _SearchOutcome:
     """A local search from each (fn, x0) of runs; the best outcome.
 
-    With `gradient`, fn returns (value, gradient) and the in-library L-BFGS
-    (_lbfgs) runs with at most max_evals calls; the outcome has converged
-    when its gradient passes GRAD_TOL. Otherwise Powell runs with max_evals
-    value calls, xtol and ftol. Both go through scipy's minimize.
+    With `gradient`, fn takes the point as a list of floats and returns
+    (value, gradient), the gradient a list or an array, and the in-library
+    L-BFGS (_lbfgs) runs with at most max_evals calls; the outcome has
+    converged when its gradient passes GRAD_TOL. Otherwise Powell runs with
+    max_evals value calls, xtol and ftol. Both go through scipy's minimize.
     """
     best = None
     total = 0
@@ -623,8 +626,9 @@ def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
 
 
 def _negated(out):
-    """-out for a (value, gradient) pair."""
-    return -out[0], -out[1]
+    """-out for a (value, gradient) pair, the gradient a list or an array."""
+    value, grad = out
+    return -value, list(map(neg, grad)) if grad.__class__ is list else -grad
 
 
 def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
@@ -635,8 +639,7 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
     (kets as columns). `warm` frames join the identity and Fourier frames."""
     da = rho.dims[0]
     frames = [np.eye(da, dtype=complex), fourier_basis(da).matrix, *warm]
-    while len(frames) < budget.starts:
-        frames.append(haar_unitary(da, rng))
+    frames.extend(haar_unitaries(da, max(budget.starts - len(frames), 0), rng))
     origin = np.zeros(da * da - da)
     res = _multistart_minimize(
         (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
@@ -675,6 +678,7 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     empty = np.zeros(0)
 
     def obj(phi):
+        phi = np.asarray(phi)
         if n == 0:
             rot = _rotated(data, eye_a if fam_a is None else fam_a.base.matrix,
                            fam_b.base.matrix)
@@ -727,8 +731,7 @@ def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
         return _SearchOutcome(value, np.zeros(0), True, 1, 0), fam_a, fam_b
     rng = np.random.default_rng(seed)
     frames = [(fam_a, fam_b)]
-    while len(frames) < budget.outer_starts:
-        x = rng.normal(scale=1.2, size=n)
+    for x in rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), n)):
         frames.append((None if fam_a is None else fam_a.centred(x[:na]),
                        fam_b.centred(x[na:])))
     res = _multistart_minimize(
@@ -898,11 +901,9 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     def outer_obj(phi):
         return inner_light(fam._columns(phi))
 
-    starts = [np.zeros(fam.n_params)]
-    while len(starts) < budget.outer_starts:
-        starts.append(rng.normal(scale=1.2, size=fam.n_params))
-    return _multistart_minimize(((outer_obj, x0) for x0 in starts),
-                                budget.outer_evals, xtol=1e-7, ftol=1e-11)
+    starts = [np.zeros(fam.n_params),
+              *rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), fam.n_params))]
+    return _multistart_minimize(((outer_obj, x0) for x0 in starts), budget.outer_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ outcomes of probability at least ZERO_PROB.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +63,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in (self.dims if np.iterable(self.dims) else (self.dims,)))
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid dims {dims}")
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         if a.shape[0] != side:
             raise ValueError(f"matrix side {a.shape[0]} does not match prod(dims) = {side}")
         _require_finite(a, "matrix")
@@ -96,7 +98,7 @@ class DensityMatrix:
 
 def maximally_mixed(dims) -> DensityMatrix:
     dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     return DensityMatrix(np.eye(side) / side, dims)
 
 
@@ -134,7 +136,9 @@ class ProjectiveBasis:
         return self.vectors.T
 
     @classmethod
+    @lru_cache(maxsize=32)
     def computational(cls, d: int) -> "ProjectiveBasis":
+        """The standard basis; cached, since a ProjectiveBasis is read-only."""
         return cls(np.eye(d))
 
     @classmethod
@@ -202,14 +206,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ket = [i + n if i in keep else i for i in range(n)]
     out = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(t, bra + ket, out)
-    side = int(np.prod([rho.dims[k] for k in keep]))
+    side = math.prod(rho.dims[k] for k in keep)
     return DensityMatrix(reduced.reshape(side, side), tuple(rho.dims[k] for k in keep))
 
 
 def regroup_dims(rho: DensityMatrix, dims) -> DensityMatrix:
     """Re-declare the subsystem factorization (merge or split adjacent factors)."""
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.side:
+    if math.prod(dims) != rho.side:
         raise ValueError(f"dims {dims} incompatible with side {rho.side}")
     return DensityMatrix(rho.data, dims)
 
@@ -278,8 +282,8 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> Dens
     dt = rho.dims[target]
     if basis.dim != dt:
         raise ValueError(f"basis dim {basis.dim} does not match subsystem dim {dt}")
-    pre = int(np.prod(rho.dims[:target], dtype=int)) if target > 0 else 1
-    post = int(np.prod(rho.dims[target + 1:], dtype=int)) if target < n - 1 else 1
+    pre = math.prod(rho.dims[:target])
+    post = math.prod(rho.dims[target + 1:])
     u = basis.matrix
     # With the target's index pair last, each (dt, dt) block x is a row; x @ w
     # is its diagonal in the basis and @ w^H rotates that back: sum_k P_k x P_k.
@@ -291,8 +295,8 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> Dens
 
 
 def _embed_on_subsystem(op: np.ndarray, dims, target: int) -> np.ndarray:
-    pre = int(np.prod(dims[:target], dtype=int)) if target > 0 else 1
-    post = int(np.prod(dims[target + 1:], dtype=int)) if target < len(dims) - 1 else 1
+    pre = math.prod(dims[:target])
+    post = math.prod(dims[target + 1:])
     out = op
     if pre > 1:
         out = np.kron(np.eye(pre), out)

@@ -7,13 +7,19 @@ import numpy as np
 from .qkernel import DensityMatrix, KrausMap
 
 
+def haar_unitaries(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-distributed unitaries, shape (k, d, d): QR of complex Gaussians
+    with the phase fix, from one draw. Each equals what k successive
+    haar_unitary calls would return, and the rng ends in the same state."""
+    z = rng.normal(size=(k, 2, d, d))  # per unitary: real part, then imaginary
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[:, None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def random_pure(dims, rng: np.random.Generator) -> DensityMatrix:

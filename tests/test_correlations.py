@@ -1,9 +1,14 @@
 """Basis search spaces, B-side disturbance and steered coherence."""
 
+import math
+import operator
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize, rosen, rosen_der
+from scipy.optimize import OptimizeResult, minimize, rosen, rosen_der
 
 from steercoh import (
     ComparabilityWarning,
@@ -419,6 +424,127 @@ def test_lbfgs_step_cap_on_a_bell_diagonal_flat_axis():
     assert res.success and converged
     assert abs(res.fun - value) <= 1e-12
     assert -res.fun > 0.915
+
+
+def _reference_lbfgs(fun, x0, maxfun, **_):
+    """The L-BFGS loop as it was before the engine took float lists: it hands
+    fun an array and keeps its pairs in a deque. The one change is that it
+    also accepts a list gradient."""
+    def _dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        nfev += 1
+        f, g = fun(np.array(x))
+        return float(f), np.asarray(g, dtype=float).tolist()
+
+    x = x0.tolist()
+    f, g = evaluate(x)
+    cur = correlations._Point(0.0, f, g, 0.0, x)
+    pairs = deque(maxlen=correlations.LBFGS_MEMORY)  # (s, y, 1 / s.y)
+    gamma = 1.0  # s.y / y.y of the newest pair
+    while max(map(abs, cur.g), default=0.0) > correlations.GRAD_TOL and nfev < maxfun:
+        # two-loop recursion for d = -H g
+        d = [-gi for gi in cur.g]
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * _dot(s, d)
+            d = [di - alpha * yi for di, yi in zip(d, y)]
+            alphas.append(alpha)
+        d = [gamma * di for di in d]
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            beta = alpha - rho * _dot(y, d)
+            d = [di + beta * si for di, si in zip(d, s)]
+        slope = _dot(cur.g, d)
+        norm = math.sqrt(_dot(d, d))
+        amax = correlations.STEP_MAX / norm
+        nxt = None
+        if slope < 0.0:
+            nxt = correlations._wolfe_step(
+                evaluate, correlations._Point(0.0, cur.f, cur.g, slope, cur.x), d,
+                min(1.0 if pairs else 1.0 / norm, amax), amax,
+                min(correlations.LS_MAX_EVALS, maxfun - nfev))
+        if nxt is None:
+            if not pairs:
+                break
+            pairs.clear()
+            gamma = 1.0
+            continue
+        s = [b - a for a, b in zip(cur.x, nxt.x)]
+        y = [b - a for a, b in zip(cur.g, nxt.g)]
+        sy = _dot(s, y)
+        # L-BFGS-B's curvature test, with -g.s = -a g.d
+        if sy > sys.float_info.epsilon * -nxt.a * slope:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / _dot(y, y)
+        cur = nxt
+    return OptimizeResult(x=np.array(cur.x), fun=cur.f, jac=np.array(cur.g), nfev=nfev,
+                          success=max(map(abs, cur.g), default=0.0) <= correlations.GRAD_TOL)
+
+
+def _assert_same_run(fn, x0, maxfun, engine=_reference_lbfgs, other=None):
+    """The in-library engine on fn and `engine` on `other` (default fn) make
+    the same run: the same x, value, call count and success, bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    ours = minimize(fn, x0, method=_lbfgs, options={"maxfun": maxfun})
+    ref = minimize(other or fn, x0, method=engine, options={"maxfun": maxfun})
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert ours.fun.hex() == ref.fun.hex()
+    assert (ours.nfev, ours.success) == (ref.nfev, ref.success)
+    assert ours.jac.tobytes() == ref.jac.tobytes()
+    return ours
+
+
+def test_lbfgs_runs_bit_identical_to_the_reference_loop_on_alice_searches():
+    # the Alice objectives of test_lbfgs_agrees_with_scipy_lbfgsb_on_alice_searches
+    rng = np.random.default_rng(24)
+    for dims, n_states, kinds in (((2, 2), 12, KINDS),
+                                  ((3, 2), 4, (DistanceKind.RELATIVE_ENTROPY,)),
+                                  ((3, 3), 4, (DistanceKind.RELATIVE_ENTROPY,))):
+        da = dims[0]
+        origin = np.zeros(da * da - da)
+        for _ in range(n_states):
+            rho = random_state_nondegenerate_b(dims, rng)
+            bob = _b_marginal_family(rho).base.matrix
+            frames = [np.eye(da), fourier_basis(da).matrix,
+                      *(haar_unitary(da, rng) for _ in range(6))]
+            for kind in kinds:
+                for frame in frames:
+                    f = _alice_objective(rho, frame, bob, kind)
+                    _assert_same_run(lambda x, f=f: _negated(f(x)), origin, 2000)
+
+
+def test_lbfgs_runs_bit_identical_to_the_reference_loop_on_disturbance_searches():
+    rho = bell_diagonal_state(np.random.default_rng(25).dirichlet(np.ones(4)))
+    fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
+    fam_b = _b_marginal_family(rho)
+    rng = np.random.default_rng(26)
+    for kind in (DistanceKind.RELATIVE_ENTROPY, DistanceKind.TRACE_NORM):
+        for obj, n in ((_disturbance_objective(rho, None, fam_b, kind), fam_b.n_params),
+                       (_disturbance_objective(rho, fam_a, fam_b, kind),
+                        fam_a.n_params + fam_b.n_params)):
+            for x0 in (np.zeros(n), *rng.normal(scale=1.2, size=(3, n))):
+                _assert_same_run(obj, x0, 300)
+
+
+def test_lbfgs_run_is_the_same_for_list_and_array_gradients():
+    rng = np.random.default_rng(27)
+    rho = random_state_nondegenerate_b((2, 2), rng)
+    bob = _b_marginal_family(rho).base.matrix
+    for kind in KINDS:
+        f = _alice_objective(rho, haar_unitary(2, rng), bob, kind)
+        as_list = lambda x: _negated(f(x))  # noqa: E731
+        assert isinstance(as_list([0.1, -0.2])[1], list)
+
+        def as_array(x):
+            value, grad = as_list(x)
+            return value, np.array(grad)
+
+        ours = _assert_same_run(as_list, np.zeros(2), 2000, engine=_lbfgs, other=as_array)
+        assert ours.success
 
 
 def test_b_side_mid_of_gap_example():

@@ -13,7 +13,9 @@ from steercoh import (
     ProjectiveBasis,
     apply_kraus,
     bell_state,
+    coherence,
     dephase,
+    distance,
     eig_hermitian,
     entropy_of_probs,
     load_state,
@@ -29,7 +31,7 @@ from steercoh import (
     von_neumann_entropy,
 )
 from steercoh.qkernel import atomic_write_text
-from steercoh.sampling import haar_unitary, random_hs_state, random_pure
+from steercoh.sampling import haar_unitaries, haar_unitary, random_hs_state, random_pure
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -131,6 +133,31 @@ def test_projective_basis_from_columns_round_trip():
     u = haar_unitary(3, rng)
     basis = ProjectiveBasis.from_columns(u)
     assert_allclose(basis.matrix, u, atol=1e-12)
+
+
+def test_computational_basis_is_one_read_only_object():
+    for d in (2, 3, 4):
+        basis = ProjectiveBasis.computational(d)
+        assert ProjectiveBasis.computational(d) is basis
+        assert not basis.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            basis.vectors[0, 0] = 0.0
+        assert_allclose(basis.vectors, np.eye(d), atol=0)
+
+
+def test_coherence_unchanged_by_the_cached_computational_basis():
+    # coherence dephases in the (cached) computational basis of the rotated
+    # state; a freshly built one gives the same value bit for bit
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        rho = random_hs_state((d,), rng)
+        ref = ProjectiveBasis.from_columns(haar_unitary(d, rng))
+        u = ref.matrix
+        rotated = DensityMatrix(u.conj().T @ rho.data @ u, (d,))
+        fresh = ProjectiveBasis(np.eye(d))
+        for kind in ("r", "l1", "t") if d == 2 else ("r", "l1"):
+            expect = distance(kind, rotated, dephase(rotated, fresh, target=0))
+            assert coherence(kind, rho, ref) == expect
 
 
 def test_product_basis_row_major_order():
@@ -402,3 +429,41 @@ def test_random_pure_has_unit_purity():
     for _ in range(5):
         rho = random_pure((2, 2), rng)
         assert np.isclose((rho.data @ rho.data).trace().real, 1.0, atol=1e-10)
+
+
+def _reference_haar_unitary(d, rng):
+    """One Haar draw as haar_unitary made it before the batched sampler."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+def test_batched_haar_draws_equal_sequential_draws():
+    # bit for bit, leaving the rng where k sequential draws would
+    for d in (2, 3, 4):
+        for k in range(1, 7):
+            for seed in range(5):
+                batch_rng, seq_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                batch = haar_unitaries(d, k, batch_rng)
+                assert batch.shape == (k, d, d)
+                for u in batch:
+                    assert u.tobytes() == _reference_haar_unitary(d, seq_rng).tobytes()
+                assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
+            single_rng, seq_rng = np.random.default_rng(d), np.random.default_rng(d)
+            assert haar_unitary(d, single_rng).tobytes() == \
+                _reference_haar_unitary(d, seq_rng).tobytes()
+            assert_allclose(batch[0].conj().T @ batch[0], np.eye(d), atol=1e-12)
+    assert haar_unitaries(2, 0, np.random.default_rng(0)).shape == (0, 2, 2)
+
+
+def test_batched_gaussian_starts_equal_sequential_draws():
+    for n in (2, 6, 12):
+        for k in range(1, 8):
+            for seed in range(5):
+                batch_rng, seq_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                batch = batch_rng.normal(scale=1.2, size=(k, n))
+                for row in batch:
+                    assert row.tobytes() == seq_rng.normal(scale=1.2, size=n).tobytes()
+                assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
