@@ -15,10 +15,17 @@ direction of the set of bases, none that only rephases a ket. Alice's
 starts are the identity, the Fourier basis and Haar-random frames. Both
 Alice objectives (the two-qubit Bloch form and the general one) and the
 disturbance objective supply an analytic gradient in these coordinates and
-are optimized by an L-BFGS on plain floats (_lbfgs, handed to scipy's
-minimize as a custom method): an objective takes the trial point as a list
-of floats and returns (value, gradient), the gradient a list or an array.
-Each disturbance start re-centres the eigenbasis charts on its own frame.
+are optimized by an L-BFGS on plain floats, written as a generator of the
+points it evaluates (_lbfgs_points). Two-qubit Alice searches and the
+disturbance searches run their starts one after another (_lbfgs, handed to
+scipy's minimize as a custom method): an objective takes the trial point
+as a list of floats and returns (value, gradient), the gradient a list or
+an array. An Alice search on any other dims, full or light, runs all of its
+starts in lockstep (_lbfgs_lanes, one minimize call per search): each round
+evaluates the pending point of every running start in one call of the
+general objective over the stacked frames, and each start makes the run
+it would make alone. Each disturbance start re-centres the eigenbasis
+charts on its own frame.
 The eigenbasis search of sic runs scipy's Powell. Degenerate marginals add
 an outer minimization over the same chart on each degenerate block of the
 eigenbasis. Each search draws all of its random starts in one call, which
@@ -79,10 +86,11 @@ class SearchBudget:
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
     search explores. The Alice and disturbance searches run the in-library
-    L-BFGS (_lbfgs), so max_evals, refine_evals and, in b_side_mid and mid,
-    outer_evals cap value+gradient calls. The eigenbasis search of sic and
-    protocols.ree_numeric run Powell, capped in value calls (outer_evals and
-    max_evals).
+    L-BFGS (_lbfgs_points), so max_evals, refine_evals and, in b_side_mid
+    and mid, outer_evals cap the value+gradient calls of each start, also
+    where the starts of an Alice search run in lockstep. The eigenbasis
+    search of sic and protocols.ree_numeric run Powell, capped in value
+    calls (outer_evals and max_evals).
     """
 
     starts: int = 32
@@ -134,19 +142,20 @@ def _chart_unitary(d: int, x: np.ndarray) -> np.ndarray:
 def _chart_pullback(hw: np.ndarray, hv: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
     """Gradient in the chart coordinates x, given the chart's eigh (hw, hv)
     = _chart_eigh(d, x) and the gradient grad_u in the unitary u (df = Re
-    tr(grad_u^dag du)).
+    tr(grad_u^dag du)); leading axes of all three are a stack of charts.
 
     Daleckii-Krein: d exp(iH) = V (phi o V^dag dH V) V^dag, where
     phi_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) (i e^{iw_j} when equal),
     written as i e^{i(w_j + w_k)/2} sin(h) / h with h = (w_j - w_k) / 2 so
     close eigenvalues do not cancel.
     """
-    half = 0.5 * (hw[:, None] - hw[None, :])
+    half = 0.5 * (hw[..., :, None] - hw[..., None, :])
     ratio = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
-    phi_conj = -1j * np.exp(-0.5j * (hw[:, None] + hw[None, :])) * ratio
-    hvh = hv.conj().T
+    phi_conj = -1j * np.exp(-0.5j * (hw[..., :, None] + hw[..., None, :])) * ratio
+    hvh = hv.conj().swapaxes(-1, -2)
     y = hv @ (phi_conj * (hvh @ grad_u @ hv)) @ hvh
-    return (_offdiagonal_generators(hw.size) @ y.conj().ravel()).real
+    flat = y.conj().reshape(*hw.shape[:-1], -1, 1)
+    return (_offdiagonal_generators(hw.shape[-1]) @ flat)[..., 0].real
 
 
 @lru_cache(maxsize=32)
@@ -267,15 +276,18 @@ def _entropy_slope(t: float) -> float:
 
 
 def _product_frame(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """ua (x) ub, formed by broadcasting."""
-    n = ua.shape[0] * ub.shape[0]
-    return (ua[:, None, :, None] * ub[None, :, None, :]).reshape(n, n)
+    """ua (x) ub, formed by broadcasting; leading axes of ua or ub stack
+    frames."""
+    n = ua.shape[-1] * ub.shape[-1]
+    prod = ua[..., :, None, :, None] * ub[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], n, n)
 
 
 def _rotated(data: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """v^dag data v for v = ua (x) ub, a bipartite frame change."""
+    """v^dag data v for v = ua (x) ub, a bipartite frame change; a stack of
+    frames ua gives the stack of rotated matrices."""
     v = _product_frame(ua, ub)
-    return v.conj().T @ data @ v
+    return v.conj().swapaxes(-1, -2) @ data @ v
 
 
 def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
@@ -358,8 +370,15 @@ def _objective_bloch_2q(sig: np.ndarray, kind: DistanceKind):
 
 
 def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
-    """Objective x -> (value, gradient) at Alice's basis _chart_unitary(da, x)
-    on the (already rotated) frame, for any dims.
+    """Objective at Alice's basis _chart_unitary(da, x) on the (already
+    rotated) frame, for any dims, with its gradient in x.
+
+    sig is one rotated state, or k of them stacked as (k, n, n), one per
+    lane. For one state it returns x -> (value, gradient). For a stack it
+    returns (points, lanes) -> (values, gradients), an array each with one
+    row per entry of lanes: the objective of lane lanes[j] at points[j].
+    One lane is the one-state case; every lane runs the same stacked eigh
+    and matmul calls.
 
     Each outcome's term F(m_i) of the unnormalised steered state m_i is
     homogeneous of degree one, so dF = tr(dm_i G_i) with G_i = log2 rho_i -
@@ -368,59 +387,56 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
     gradient in the kets is M[:, i] = 2 K_i u_i with K_i = tr_B(sig (1 x G_i)),
     pulled back to x by _chart_pullback.
     """
-    # amat[(a,c),(b,d)] = sig[(a,b),(c,d)]: Alice's index pair on the rows
-    amat = sig.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    # amats[l, (a,c), (b,d)] = sig[l, (a,b), (c,d)]: Alice's index pair on the rows
+    amats = sig.reshape(-1, da, db, da, db).transpose(0, 1, 3, 2, 4).reshape(
+        -1, da * da, db * db)
     diag = slice(None, None, db + 1)  # diagonal of a flattened db x db block
     is_l1 = kind is DistanceKind.L1
     gens = _offdiagonal_generators(da)
 
-    def f(params):
-        # _chart_unitary(da, params), keeping its eigh for the gradient
-        hw, hv = np.linalg.eigh((np.asarray(params) @ gens).reshape(da, da))
-        u = (hv * np.exp(1j * hw)) @ hv.conj().T
-        w = (u.conj()[:, None, :] * u[None, :, :]).reshape(da * da, da)
-        # row i is outcome i's unnormalised steered state, flattened
-        m = w.T @ amat
-        ps = m[:, diag].real.sum(axis=1)
+    def lanes_f(points, lanes=None):
+        amat = amats if lanes is None else amats[lanes]
+        # _chart_unitary(da, x) per lane, keeping its eigh for the gradient
+        hw, hv = np.linalg.eigh((np.asarray(points) @ gens).reshape(-1, da, da))
+        u = (hv * np.exp(1j * hw)[:, None, :]) @ hv.conj().swapaxes(-1, -2)
+        w = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(-1, da * da, da)
+        # row i of a lane is outcome i's unnormalised steered state, flattened
+        m = w.swapaxes(-1, -2) @ amat
+        ps = m[..., diag].real.sum(axis=-1)
         # outcomes below ZERO_PROB keep a finite placeholder state and add
         # neither value nor gradient
         good = ps >= ZERO_PROB
-        mn = m / np.where(good, ps, 1.0)[:, None]
+        mn = m / np.where(good, ps, 1.0)[..., None]
         if is_l1:
             mag = np.abs(mn)
-            per = mag.sum(axis=1) - mag[:, diag].sum(axis=1)
+            per = mag.sum(axis=-1) - mag[..., diag].sum(axis=-1)
             g = np.divide(mn, mag, out=np.zeros_like(mn), where=mag > EIG_FLOOR)
-            g[:, diag] = 0.0
+            g[..., diag] = 0.0
         else:
-            lam, vec = np.linalg.eigh(mn.reshape(da, db, db))
-            spectra = np.minimum(np.maximum(np.array([mn[:, diag].real, lam]), 0.0), 1.0)
+            lam, vec = np.linalg.eigh(mn.reshape(-1, da, db, db))
+            spectra = np.minimum(np.maximum(np.array([mn[..., diag].real, lam]), 0.0), 1.0)
             s_diag, s_full = _entropy_rows(spectra)
             per = np.maximum(s_diag - s_full, 0.0)
             # the derivative of x log x is continued below EIG_FLOOR, where
             # _entropy_rows drops the term
             logs = np.log2(np.maximum(spectra, EIG_FLOOR))
-            g = ((vec * logs[1][:, None, :]) @ vec.conj().transpose(0, 2, 1)).reshape(da, db * db)
-            g[:, diag] -= logs[0]
+            g = ((vec * logs[1][..., None, :]) @ vec.conj().swapaxes(-1, -2)).reshape(
+                -1, da, db * db)
+            g[..., diag] -= logs[0]
         per *= good
         # K[(a,c), i] = tr_B(sig (1 x G_i))[a, c], using G_i^T = conj(G_i)
-        kmat = (amat @ (g.conj().T * good)).reshape(da, da, da)
-        grad_u = 2.0 * (kmat * u[None, :, :]).sum(axis=1)
-        return float(ps @ per), _chart_pullback(hw, hv, grad_u)
+        kmat = (amat @ (g.conj().swapaxes(-1, -2) * good[:, None, :])).reshape(-1, da, da, da)
+        grad_u = 2.0 * (kmat * u[:, None, :, :]).sum(axis=2)
+        return (ps[:, None, :] @ per[:, :, None]).reshape(-1), _chart_pullback(hw, hv, grad_u)
+
+    if sig.ndim == 3:
+        return lanes_f
+
+    def f(params):
+        value, grad = lanes_f([params])
+        return float(value[0]), grad[0]
 
     return f
-
-
-def _alice_objective(rho: DensityMatrix, frame: np.ndarray, bob: np.ndarray,
-                     kind: DistanceKind):
-    """Objective x -> average steered coherence at Alice's basis
-    frame @ _chart_unitary(da, x), against Bob's reference basis `bob` (both
-    unitaries, kets as columns), returned with its gradient as a
-    (value, gradient) pair. Bloch form for two qubits (cheaper per
-    evaluation), general otherwise."""
-    sig = _rotated(rho.data, frame, bob)
-    if rho.dims == (2, 2):
-        return _objective_bloch_2q(sig, kind)
-    return _objective_general(sig, *rho.dims, kind)
 
 
 def avg_steered_coherence(rho: DensityMatrix, alice: ProjectiveBasis,
@@ -493,67 +509,28 @@ def _cubic_step(p: _Point, q: _Point):
     return a if min(p.a, q.a) < a < max(p.a, q.a) else None
 
 
-def _wolfe_step(evaluate, start: _Point, d: list, a: float, amax: float, trials: int):
-    """Strong-Wolfe line search along d from `start` (step 0), first trying
-    step a <= amax. It extrapolates by doubling up to amax; once it has a
-    bracket it takes the cubic step inside it, bisecting when the cubic has
-    no minimizer there or the bracket has not shrunk to 2/3 over two steps
-    (More-Thuente's rule). After `trials` trial points, or when the bracket
-    collapses, it returns its best point of sufficient decrease; None when
-    it has none."""
-    armijo = WOLFE_C1 * start.slope
-    curvature = -WOLFE_C2 * start.slope
-    lo, hi = start, None  # lo: the best point of sufficient decrease so far
-    width = width1 = math.inf  # bracket lengths one and two steps back
-    for _ in range(trials):
-        if hi is not None:
-            span = abs(hi.a - lo.a)
-            a = _cubic_step(lo, hi)
-            if a is None or span >= 0.66 * width1:
-                a = 0.5 * (lo.a + hi.a)
-            width1, width = width, span
-            if not min(lo.a, hi.a) < a < max(lo.a, hi.a):
-                break
-        x = [xi + a * di for xi, di in zip(start.x, d)]
-        f, g = evaluate(x)
-        cur = _Point(a, f, g, sum(map(mul, g, d)), x)
-        if cur.f > start.f + armijo * a or cur.f >= lo.f:
-            hi = cur
-        elif abs(cur.slope) <= curvature:
-            return cur
-        elif hi is None and cur.slope < 0.0:
-            if a >= amax:
-                return cur
-            lo, a = cur, min(2.0 * a, amax)
-        else:
-            if hi is None or cur.slope * (hi.a - lo.a) >= 0.0:
-                hi = lo
-            lo = cur
-    return None if lo is start else lo
+def _lbfgs_points(x: list, maxfun: int):
+    """One L-BFGS run from x (a list of floats), as a generator of the
+    points it evaluates: it yields each point as a list of floats and is
+    sent back (value, gradient list) there. It returns, as an OptimizeResult,
+    its last iterate after at most maxfun points.
 
-
-def _lbfgs(fun, x0, maxfun, **_):
-    """L-BFGS on plain floats, as a custom method for scipy's minimize.
-
-    fun(x) takes the point as a list of floats and returns (value,
-    gradient), the gradient a list or an array. Directions come from the
-    two-loop recursion over the newest LBFGS_MEMORY pairs, scaled by s.y /
-    y.y of the newest; a pair is stored only if s.y > eps * (-g.s). With no
-    pairs the direction is -g and the first trial step has length one; no
-    trial step is longer than STEP_MAX. A failed line search drops the
-    pairs and retries along -g; the run stops when that fails too, on the
-    gradient test max|g| <= GRAD_TOL (its success), or after maxfun calls.
+    Directions come from the two-loop recursion over the newest
+    LBFGS_MEMORY pairs, scaled by s.y / y.y of the newest; a pair is stored
+    only if s.y > eps * (-g.s). With no pairs the direction is -g and the
+    first trial step has length one; no trial step is longer than STEP_MAX.
+    The line search is strong-Wolfe with at most LS_MAX_EVALS trials (and
+    no more than maxfun allows). It extrapolates by doubling up to the step
+    cap; once it has a bracket it takes the cubic step inside it, bisecting
+    when the cubic has no minimizer there or the bracket has not shrunk to
+    2/3 over two steps (More-Thuente's rule). Out of trials, or when the
+    bracket collapses, it takes its best point of sufficient decrease; with
+    none the pairs are dropped and the search retried along -g. The run
+    stops when that fails too, on the gradient test max|g| <= GRAD_TOL (its
+    success), or after maxfun points.
     """
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        nfev += 1
-        f, g = fun(x)
-        return float(f), g if g.__class__ is list else g.tolist()
-
-    x = x0.tolist()
-    f, g = evaluate(x)
+    f, g = yield x
+    nfev = 1
     pairs = []  # (s, y, 1 / s.y), oldest first
     gamma = 1.0  # s.y / y.y of the newest pair
     while max(map(abs, g), default=0.0) > GRAD_TOL and nfev < maxfun:
@@ -573,39 +550,118 @@ def _lbfgs(fun, x0, maxfun, **_):
         amax = STEP_MAX / norm
         nxt = None
         if slope < 0.0:
-            nxt = _wolfe_step(evaluate, _Point(0.0, f, g, slope, x), d,
-                              min(1.0 if pairs else 1.0 / norm, amax), amax,
-                              min(LS_MAX_EVALS, maxfun - nfev))
+            # line search along d from start (step 0), first trying step a
+            start = _Point(0.0, f, g, slope, x)
+            a = min(1.0 if pairs else 1.0 / norm, amax)
+            armijo = WOLFE_C1 * slope
+            curvature = -WOLFE_C2 * slope
+            lo, hi = start, None  # lo: the best point of sufficient decrease so far
+            width = width1 = math.inf  # bracket lengths one and two steps back
+            for _ in range(min(LS_MAX_EVALS, maxfun - nfev)):
+                if hi is not None:
+                    span = abs(hi.a - lo.a)
+                    a = _cubic_step(lo, hi)
+                    if a is None or span >= 0.66 * width1:
+                        a = 0.5 * (lo.a + hi.a)
+                    width1, width = width, span
+                    if not min(lo.a, hi.a) < a < max(lo.a, hi.a):
+                        break
+                xt = [xi + a * di for xi, di in zip(x, d)]
+                ft, gt = yield xt
+                nfev += 1
+                cur = _Point(a, ft, gt, sum(map(mul, gt, d)), xt)
+                if cur.f > f + armijo * a or cur.f >= lo.f:
+                    hi = cur
+                elif abs(cur.slope) <= curvature:
+                    nxt = cur
+                    break
+                elif hi is None and cur.slope < 0.0:
+                    if a >= amax:
+                        nxt = cur
+                        break
+                    lo, a = cur, min(2.0 * a, amax)
+                else:
+                    if hi is None or cur.slope * (hi.a - lo.a) >= 0.0:
+                        hi = lo
+                    lo = cur
+            if nxt is None and lo is not start:
+                nxt = lo
         if nxt is None:
             if not pairs:
                 break
             pairs.clear()
             gamma = 1.0
             continue
-        a, f, g_new, _, x_new = nxt
-        s = list(map(sub, x_new, x))
-        y = list(map(sub, g_new, g))
+        s = list(map(sub, nxt.x, x))
+        y = list(map(sub, nxt.g, g))
         sy = sum(map(mul, s, y))
         # L-BFGS-B's curvature test, with -g.s = -a g.d
-        if sy > sys.float_info.epsilon * -a * slope:
+        if sy > sys.float_info.epsilon * -nxt.a * slope:
             if len(pairs) == LBFGS_MEMORY:
                 del pairs[0]
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / sum(map(mul, y, y))
-        x, g = x_new, g_new
+        x, f, g = nxt.x, nxt.f, nxt.g
     return OptimizeResult(x=np.array(x), fun=f, jac=np.array(g), nfev=nfev,
                           success=max(map(abs, g), default=0.0) <= GRAD_TOL)
 
 
+def _lbfgs(fun, x0, maxfun, **_):
+    """L-BFGS on plain floats (_lbfgs_points), as a custom method for
+    scipy's minimize: one run from x0 with at most maxfun calls of fun.
+    fun(x) takes the point as a list of floats and returns (value,
+    gradient), the gradient a list or an array."""
+    run = _lbfgs_points(x0.tolist(), maxfun)
+    x = next(run)
+    try:
+        while True:
+            f, g = fun(x)
+            x = run.send((float(f), g if g.__class__ is list else g.tolist()))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lbfgs_lanes(fun, x0, maxfun, lanes, **_):
+    """L-BFGS runs from `lanes` start points in lockstep, as a custom method
+    for scipy's minimize: x0 holds the starts back to back, and lane j makes
+    the run _lbfgs makes from start j with at most maxfun calls.
+
+    Each round hands fun(points, idx) the pending points of the lanes idx
+    still running, and fun returns their values and gradients as arrays,
+    one row per lane; a lane that stops leaves the batch. The result is the
+    best lane's (the first on ties), with `run` its index and nfev summed
+    over all lanes.
+    """
+    runs = [_lbfgs_points(x, maxfun) for x in x0.reshape(lanes, -1).tolist()]
+    points = [next(run) for run in runs]
+    idx = list(range(lanes))
+    ends = [None] * lanes
+    while idx:
+        values, grads = fun(points, idx)
+        live, points = [], []
+        for j, f, g in zip(idx, values.tolist(), grads.tolist()):
+            try:
+                points.append(runs[j].send((f, g)))
+                live.append(j)
+            except StopIteration as stop:
+                ends[j] = stop.value
+        idx = live
+    best = min(range(lanes), key=lambda j: ends[j].fun)
+    return OptimizeResult(ends[best], run=best, nfev=sum(end.nfev for end in ends))
+
+
 def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
                          gradient=False) -> _SearchOutcome:
-    """A local search from each (fn, x0) of runs; the best outcome.
+    """A local search from each (fn, x0) of runs, one after another; the
+    best outcome.
 
     With `gradient`, fn takes the point as a list of floats and returns
     (value, gradient), the gradient a list or an array, and the in-library
     L-BFGS (_lbfgs) runs with at most max_evals calls; the outcome has
     converged when its gradient passes GRAD_TOL. Otherwise Powell runs with
-    max_evals value calls, xtol and ftol. Both go through scipy's minimize.
+    max_evals value calls, xtol and ftol. Each run is one call of scipy's
+    minimize. Alice searches beyond two qubits run their starts in lockstep
+    instead (_search_frames).
     """
     best = None
     total = 0
@@ -631,21 +687,58 @@ def _negated(out):
     return -value, list(map(neg, grad)) if grad.__class__ is list else -grad
 
 
+def _named(fn, qualname: str):
+    """fn with __qualname__ set: perfbench/tracer.py tells the Alice
+    searches apart by the qualname of the objective handed to minimize."""
+    fn.__qualname__ = qualname
+    return fn
+
+
+def _search_frames(rho: DensityMatrix, frames: list, bob: np.ndarray, kind: DistanceKind,
+                   max_evals: int, caller: str) -> _SearchOutcome:
+    """Alice's best basis against Bob's reference basis `bob`: the best of
+    the gradient searches in the chart around each frame (unitaries, kets
+    as columns), each with at most max_evals calls; x of the outcome is the
+    achieving unitary. One batched _rotated call turns the state into every
+    frame. Two qubits run the scalar Bloch objective, one start after
+    another. Other dims run every start as a lane of one lockstep L-BFGS
+    (_lbfgs_lanes) on one stacked general objective, a single minimize call
+    whose nfev sums the lanes. The objectives handed to minimize carry the
+    qualname `caller`."""
+    da, db = rho.dims
+    origin = np.zeros(da * da - da)
+    sigs = _rotated(rho.data, np.array(frames), bob)
+    if rho.dims == (2, 2):
+        res = _multistart_minimize(
+            ((_named(lambda x, f=_objective_bloch_2q(sig, kind): _negated(f(x)), caller),
+              origin) for sig in sigs),
+            max_evals, gradient=True)
+    else:
+        f = _objective_general(sigs, da, db, kind)
+
+        def lanes_f(points, idx):
+            values, grads = f(points, idx)
+            return -values, -grads
+
+        end = minimize(_named(lanes_f, caller), np.tile(origin, len(frames)),
+                       method=_lbfgs_lanes,
+                       options={"maxfun": int(max_evals), "lanes": len(frames)})
+        res = _SearchOutcome(float(end.fun), end.x, bool(end.success), end.nfev, end.run)
+    return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
+
+
 def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
                     budget: SearchBudget, rng: np.random.Generator,
                     warm=()) -> _SearchOutcome:
-    """Best Alice basis against Bob's reference basis `bob`, searched in the
-    chart around each start frame; x of the outcome is the achieving unitary
-    (kets as columns). `warm` frames join the identity and Fourier frames."""
+    """Best Alice basis against Bob's reference basis `bob`
+    (_search_frames); x of the outcome is the achieving unitary (kets as
+    columns). `warm` frames join the identity and Fourier frames before
+    the Haar-random ones."""
     da = rho.dims[0]
     frames = [np.eye(da, dtype=complex), fourier_basis(da).matrix, *warm]
     frames.extend(haar_unitaries(da, max(budget.starts - len(frames), 0), rng))
-    origin = np.zeros(da * da - da)
-    res = _multistart_minimize(
-        (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
-         for u in frames),
-        budget.max_evals, gradient=True)
-    return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
+    return _search_frames(rho, frames, bob, kind, budget.max_evals,
+                          _maximize_alice.__qualname__)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +975,6 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
         return _SearchOutcome(math.inf, np.zeros(0), True, 0, 0)
     da = rho.dims[0]
     fixed_frame = haar_unitary(da, rng)
-    origin = np.zeros(da * da - da)
     exact_inner = None
     if kind is DistanceKind.L1 and rho.dims == (2, 2):
         exact_inner = _exact_inner_l1_2q(rho)
@@ -890,13 +982,10 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     def inner_light(bob: np.ndarray) -> float:
         if exact_inner is not None:
             return exact_inner(bob)
-        frames = [*warm, np.eye(da, dtype=complex), fixed_frame]
-        res = _multistart_minimize(
-            (((lambda x, f=_alice_objective(rho, u, bob, kind): _negated(f(x))), origin)
-             for u in frames),
-            budget.refine_evals, gradient=True)
-        warm[:] = [frames[res.run] @ _chart_unitary(da, res.x)]
-        return -res.value
+        res = _search_frames(rho, [*warm, np.eye(da, dtype=complex), fixed_frame], bob,
+                             kind, budget.refine_evals, inner_light.__qualname__)
+        warm[:] = [res.x]
+        return res.value
 
     def outer_obj(phi):
         return inner_light(fam._columns(phi))

@@ -42,7 +42,6 @@ from steercoh import (
 )
 from steercoh import correlations
 from steercoh.correlations import (
-    _alice_objective,
     _b_marginal_family,
     _binary_entropy,
     _chart_unitary,
@@ -293,6 +292,15 @@ def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
     check(rho, _b_marginal_family(rho).base.matrix)
 
 
+def _alice_objective(rho, frame, bob, kind):
+    """The objective of one Alice search start at frame, against Bob's
+    reference basis bob: Bloch form for two qubits, general otherwise."""
+    sig = _rotated(rho.data, frame, bob)
+    if rho.dims == (2, 2):
+        return _objective_bloch_2q(sig, kind)
+    return _objective_general(sig, *rho.dims, kind)
+
+
 def _run_lbfgs(fn, x0, maxfun=2000):
     return minimize(fn, np.asarray(x0, dtype=float), method=_lbfgs,
                     options={"maxfun": maxfun})
@@ -333,17 +341,22 @@ def test_lbfgs_stops_at_a_stationary_start():
 def test_lbfgs_trial_steps_stay_within_step_max(monkeypatch):
     # a flat quadratic whose minimizer is far away: quasi-Newton steps would
     # be tens of chart units long
-    real = correlations._wolfe_step
+    real = correlations._lbfgs_points
     lengths = []
 
-    def checked(evaluate, start, *args):
-        def recorded(x):
-            lengths.append(float(np.linalg.norm(np.subtract(x, start.x))))
-            return evaluate(x)
+    def checked(x, maxfun):
+        # each point the run yields, against the iterate it searches from
+        run = real(x, maxfun)
+        point = next(run)
+        try:
+            while True:
+                start = run.gi_frame.f_locals["x"]
+                lengths.append(float(np.linalg.norm(np.subtract(point, start))))
+                point = run.send((yield point))
+        except StopIteration as stop:
+            return stop.value
 
-        return real(recorded, start, *args)
-
-    monkeypatch.setattr(correlations, "_wolfe_step", checked)
+    monkeypatch.setattr(correlations, "_lbfgs_points", checked)
     scale = np.array([1e-3, 2e-3, 5e-3])
     xmin = np.array([40.0, -25.0, 60.0])
     res = _run_lbfgs(lambda x: (0.5 * scale @ (x - xmin) ** 2, scale * (x - xmin)),
@@ -426,9 +439,44 @@ def test_lbfgs_step_cap_on_a_bell_diagonal_flat_axis():
     assert -res.fun > 0.915
 
 
+def _reference_wolfe_step(evaluate, start, d, a, amax, trials):
+    """The strong-Wolfe line search as it was before the engine became a
+    generator: it calls evaluate(x) for each trial point."""
+    armijo = correlations.WOLFE_C1 * start.slope
+    curvature = -correlations.WOLFE_C2 * start.slope
+    lo, hi = start, None  # lo: the best point of sufficient decrease so far
+    width = width1 = math.inf  # bracket lengths one and two steps back
+    for _ in range(trials):
+        if hi is not None:
+            span = abs(hi.a - lo.a)
+            a = correlations._cubic_step(lo, hi)
+            if a is None or span >= 0.66 * width1:
+                a = 0.5 * (lo.a + hi.a)
+            width1, width = width, span
+            if not min(lo.a, hi.a) < a < max(lo.a, hi.a):
+                break
+        x = [xi + a * di for xi, di in zip(start.x, d)]
+        f, g = evaluate(x)
+        cur = correlations._Point(a, f, g, sum(map(operator.mul, g, d)), x)
+        if cur.f > start.f + armijo * a or cur.f >= lo.f:
+            hi = cur
+        elif abs(cur.slope) <= curvature:
+            return cur
+        elif hi is None and cur.slope < 0.0:
+            if a >= amax:
+                return cur
+            lo, a = cur, min(2.0 * a, amax)
+        else:
+            if hi is None or cur.slope * (hi.a - lo.a) >= 0.0:
+                hi = lo
+            lo = cur
+    return None if lo is start else lo
+
+
 def _reference_lbfgs(fun, x0, maxfun, **_):
     """The L-BFGS loop as it was before the engine took float lists: it hands
-    fun an array and keeps its pairs in a deque. The one change is that it
+    fun an array and keeps its pairs in a deque, and its line search calls
+    the objective itself (_reference_wolfe_step). The one change is that it
     also accepts a list gradient."""
     def _dot(u, v):
         return sum(map(operator.mul, u, v))
@@ -463,7 +511,7 @@ def _reference_lbfgs(fun, x0, maxfun, **_):
         amax = correlations.STEP_MAX / norm
         nxt = None
         if slope < 0.0:
-            nxt = correlations._wolfe_step(
+            nxt = _reference_wolfe_step(
                 evaluate, correlations._Point(0.0, cur.f, cur.g, slope, cur.x), d,
                 min(1.0 if pairs else 1.0 / norm, amax), amax,
                 min(correlations.LS_MAX_EVALS, maxfun - nfev))
@@ -545,6 +593,123 @@ def test_lbfgs_run_is_the_same_for_list_and_array_gradients():
 
         ours = _assert_same_run(as_list, np.zeros(2), 2000, engine=_lbfgs, other=as_array)
         assert ours.success
+
+
+def _a_classical_state(dims, rng):
+    """sum_i p_i |i><i| (x) rho_i: Alice's computational basis is stationary
+    for every objective (a first-order basis change leaves each |u_k(i)|^2
+    unchanged)."""
+    da, db = dims
+    p = rng.dirichlet(np.ones(da))
+    blocks = [random_hs_state((db,), rng).data for _ in range(da)]
+    data = np.zeros((da * db, da * db), dtype=complex)
+    for i in range(da):
+        data[i * db:(i + 1) * db, i * db:(i + 1) * db] = p[i] * blocks[i]
+    return DensityMatrix(data, dims)
+
+
+def _lane_frames(da, rng):
+    """The identity, Fourier and 6 Haar frames, stacked."""
+    return np.array([np.eye(da), fourier_basis(da).matrix,
+                     *(haar_unitary(da, rng) for _ in range(6))], dtype=complex)
+
+
+def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
+    real = correlations._lbfgs_points
+    lanes = []  # the result of each run, in the order the runs start
+
+    def recorded(x, maxfun):
+        slot = len(lanes)
+        lanes.append(None)
+        lanes[slot] = yield from real(x, maxfun)
+        return lanes[slot]
+
+    monkeypatch.setattr(correlations, "_lbfgs_points", recorded)
+    rng = np.random.default_rng(28)
+    maxfun = 500
+    for dims in ((3, 2), (2, 3), (3, 3)):
+        da, db = dims
+        n = da * da - da
+        for stationary, rho in ((False, random_state_nondegenerate_b(dims, rng)),
+                                (True, _a_classical_state(dims, rng))):
+            bob = _b_marginal_family(rho).base.matrix
+            frames = _lane_frames(da, rng)
+            sigs = _rotated(rho.data, frames, bob)
+            for kind in KINDS:
+                batched = _objective_general(sigs, da, db, kind)
+                lanes.clear()
+                res = minimize(lambda xs, idx: tuple(-a for a in batched(xs, idx)),
+                               np.zeros(len(frames) * n), method=correlations._lbfgs_lanes,
+                               options={"maxfun": maxfun, "lanes": len(frames)})
+                runs = lanes[:]
+                seq = [_run_lbfgs(lambda x, f=_objective_general(sig, da, db, kind): _negated(f(x)),
+                                  np.zeros(n), maxfun) for sig in sigs]
+                assert len(runs) == len(seq)
+                for lane, ref in zip(runs, seq):
+                    assert abs(lane.fun - ref.fun) <= 1e-12, (dims, kind)
+                    assert (lane.nfev, lane.success) == (ref.nfev, ref.success), (dims, kind)
+                assert res.nfev == sum(ref.nfev for ref in seq)
+                best = min(range(len(seq)), key=lambda j: seq[j].fun)
+                assert abs(res.fun - seq[best].fun) <= 1e-12
+                out = correlations._search_frames(rho, list(frames), bob, kind, maxfun, "t")
+                assert out.evals == sum(ref.nfev for ref in seq)
+                assert abs(out.value + seq[best].fun) <= 1e-12
+                if stationary:
+                    # the identity lane stops after one call, the others run on
+                    assert runs[0].nfev == 1 and runs[0].success
+                    assert max(lane.nfev for lane in runs) > 1
+
+
+def test_general_objective_lanes_match_single_lane_calls():
+    rng = np.random.default_rng(29)
+    for da, db in ((3, 2), (2, 3), (3, 3)):
+        n = da * da - da
+        ket0 = np.zeros((da, da), dtype=complex)
+        ket0[0, 0] = 1.0
+        # the identity lane of the first state has zero-probability outcomes
+        # at its origin, as in test_general_objective_skips_zero_probability_outcomes
+        for rho in (tensor_product(DensityMatrix(ket0, (da,)), random_hs_state((db,), rng)),
+                    random_state_nondegenerate_b((da, db), rng)):
+            bob = ProjectiveBasis.computational(db).matrix
+            sigs = _rotated(rho.data, _lane_frames(da, rng), bob)
+            points = rng.normal(scale=1.2, size=(len(sigs), n))
+            points[0] = 0.0
+            for kind in KINDS:
+                batched = _objective_general(sigs, da, db, kind)
+                for idx in (list(range(len(sigs))), [0, 3, 5]):
+                    values, grads = batched(points[idx], idx)
+                    assert values.shape == (len(idx),) and grads.shape == (len(idx), n)
+                    for j, lane in enumerate(idx):
+                        value, grad = _objective_general(sigs[lane], da, db, kind)(points[lane])
+                        assert abs(values[j] - value) <= 1e-13
+                        assert np.abs(grads[j] - grad).max() <= 1e-13
+
+
+def test_lockstep_alice_searches_enter_minimize_once(monkeypatch):
+    # perfbench's tracer counts searches by rebinding correlations.minimize
+    # and classifies them by the qualname of the objective handed to it
+    real = correlations.minimize
+    calls = []
+
+    def counted(fn, *args, **kwargs):
+        res = real(fn, *args, **kwargs)
+        calls.append((fn.__qualname__, res.nfev, res.success))
+        return res
+
+    monkeypatch.setattr(correlations, "minimize", counted)
+    rho = random_state_nondegenerate_b((3, 2), np.random.default_rng(30))
+    bob = _b_marginal_family(rho).base.matrix
+    res = _maximize_alice(rho, bob, DistanceKind.RELATIVE_ENTROPY,
+                          SearchBudget(starts=5, max_evals=200), np.random.default_rng(0))
+    assert calls == [("_maximize_alice", res.evals, res.converged)]
+    # a degenerate B marginal adds the light passes of the outer search
+    calls.clear()
+    sic(DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3)), "r",
+        SearchBudget(starts=3, max_evals=100, outer_starts=1, outer_evals=5,
+                     refine_evals=20))
+    light = [c for c in calls if "inner_light" in c[0]]
+    assert light and all(nfev <= 3 * 20 for _, nfev, _ in light)
+    assert [c[0] for c in calls if c not in light][-1] == "_maximize_alice"
 
 
 def test_b_side_mid_of_gap_example():
