@@ -16,16 +16,16 @@ starts are the identity, the Fourier basis and Haar-random frames. Both
 Alice objectives (the two-qubit Bloch form and the general one) and the
 disturbance objective supply an analytic gradient in these coordinates and
 are optimized by an L-BFGS on plain floats, written as a generator of the
-points it evaluates (_lbfgs_points). Two-qubit Alice searches and the
-disturbance searches run their starts one after another (_lbfgs, handed to
-scipy's minimize as a custom method): an objective takes the trial point
-as a list of floats and returns (value, gradient), the gradient a list or
-an array. An Alice search on any other dims, full or light, runs all of its
-starts in lockstep (_lbfgs_lanes, one minimize call per search): each round
-evaluates the pending point of every running start in one call of the
-general objective over the stacked frames, and each start makes the run
-it would make alone. Each disturbance start re-centres the eigenbasis
-charts on its own frame.
+points it evaluates (_lbfgs_points). One driver runs it: every gradient
+search, full or light, runs all of its starts in lockstep (_lbfgs_lanes,
+handed to scipy's minimize as a custom method, one minimize call per
+search), and each start makes the run it would make alone. Each round
+hands the objective the pending points of the running starts as lists of
+floats. On dims other than 2x2 an Alice search evaluates them in one call
+of the general objective over the stacked frames; the two-qubit Bloch
+objective and the disturbance objective are one function per start, called
+one after another (_lanes_of). Each disturbance start re-centres the
+eigenbasis charts on its own frame.
 The eigenbasis search of sic runs scipy's Powell. Degenerate marginals add
 an outer minimization over the same chart on each degenerate block of the
 eigenbasis. Each search draws all of its random starts in one call, which
@@ -86,11 +86,11 @@ class SearchBudget:
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
     search explores. The Alice and disturbance searches run the in-library
-    L-BFGS (_lbfgs_points), so max_evals, refine_evals and, in b_side_mid
-    and mid, outer_evals cap the value+gradient calls of each start, also
-    where the starts of an Alice search run in lockstep. The eigenbasis
-    search of sic and protocols.ree_numeric run Powell, capped in value
-    calls (outer_evals and max_evals).
+    L-BFGS with all starts of a search in lockstep (_lbfgs_lanes), so
+    max_evals, refine_evals and, in b_side_mid and mid, outer_evals cap the
+    value+gradient calls of each start. The eigenbasis search of sic and
+    protocols.ree_numeric run Powell, capped in value calls (outer_evals and
+    max_evals).
     """
 
     starts: int = 32
@@ -469,7 +469,7 @@ class _SearchOutcome(NamedTuple):
 # returned point exceeds this.
 GRAD_TOL = 1e-7
 
-# The gradient search (_lbfgs): L-BFGS as in Nocedal & Wright, Numerical
+# The gradient search (_lbfgs_points): L-BFGS as in Nocedal & Wright, Numerical
 # Optimization, ch. 3 and 7, with the curvature test and the restart after a
 # failed line search of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 # Comput. 16, 1995). Its objectives have 2 to a few dozen coordinates, where
@@ -606,90 +606,89 @@ def _lbfgs_points(x: list, maxfun: int):
                           success=max(map(abs, g), default=0.0) <= GRAD_TOL)
 
 
-def _lbfgs(fun, x0, maxfun, **_):
-    """L-BFGS on plain floats (_lbfgs_points), as a custom method for
-    scipy's minimize: one run from x0 with at most maxfun calls of fun.
-    fun(x) takes the point as a list of floats and returns (value,
-    gradient), the gradient a list or an array."""
-    run = _lbfgs_points(x0.tolist(), maxfun)
-    x = next(run)
-    try:
-        while True:
-            f, g = fun(x)
-            x = run.send((float(f), g if g.__class__ is list else g.tolist()))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _lbfgs_lanes(fun, x0, maxfun, lanes, **_):
-    """L-BFGS runs from `lanes` start points in lockstep, as a custom method
-    for scipy's minimize: x0 holds the starts back to back, and lane j makes
-    the run _lbfgs makes from start j with at most maxfun calls.
+    """L-BFGS runs (_lbfgs_points) from `lanes` start points in lockstep, as
+    a custom method for scipy's minimize: x0 holds the starts back to back,
+    and lane j runs from start j with at most maxfun calls, the run it would
+    make alone. Every gradient search of the library is one call of it.
 
-    Each round hands fun(points, idx) the pending points of the lanes idx
-    still running, and fun returns their values and gradients as arrays,
-    one row per lane; a lane that stops leaves the batch. The result is the
-    best lane's (the first on ties), with `run` its index and nfev summed
-    over all lanes.
+    Each round hands fun(points, idx) the pending points (lists of floats)
+    of the lanes idx still running, and fun returns one (value, gradient
+    list) pair per lane, in order; a lane that stops leaves the batch. The
+    result is the best lane's (the first on ties), with `run` its index and
+    nfev summed over all lanes.
     """
     runs = [_lbfgs_points(x, maxfun) for x in x0.reshape(lanes, -1).tolist()]
     points = [next(run) for run in runs]
     idx = list(range(lanes))
     ends = [None] * lanes
     while idx:
-        values, grads = fun(points, idx)
-        live, points = [], []
-        for j, f, g in zip(idx, values.tolist(), grads.tolist()):
+        live, pending = [], []
+        for j, out in zip(idx, fun(points, idx)):
             try:
-                points.append(runs[j].send((f, g)))
+                pending.append(runs[j].send(out))
                 live.append(j)
             except StopIteration as stop:
                 ends[j] = stop.value
-        idx = live
+        idx, points = live, pending
     best = min(range(lanes), key=lambda j: ends[j].fun)
     return OptimizeResult(ends[best], run=best, nfev=sum(end.nfev for end in ends))
 
 
-def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11,
-                         gradient=False) -> _SearchOutcome:
-    """A local search from each (fn, x0) of runs, one after another; the
-    best outcome.
+def _lanes_of(fns):
+    """A lanes objective for _lbfgs_lanes from one x -> (value, gradient)
+    function per lane, called one after another; a gradient may be a list
+    or an array, and arrays become lists here."""
+    def lanes_f(points, idx):
+        out = []
+        for j, x in zip(idx, points):
+            f, g = fns[j](x)
+            out.append((float(f), g if g.__class__ is list else g.tolist()))
+        return out
 
-    With `gradient`, fn takes the point as a list of floats and returns
-    (value, gradient), the gradient a list or an array, and the in-library
-    L-BFGS (_lbfgs) runs with at most max_evals calls; the outcome has
-    converged when its gradient passes GRAD_TOL. Otherwise Powell runs with
-    max_evals value calls, xtol and ftol. Each run is one call of scipy's
-    minimize. Alice searches beyond two qubits run their starts in lockstep
-    instead (_search_frames).
+    return lanes_f
+
+
+def _lanes_search(fun, lanes: int, n: int, max_evals: int) -> _SearchOutcome:
+    """Minimum of the lanes objective fun over `lanes` charts of n
+    coordinates, each searched from its origin with at most max_evals calls:
+    one minimize call with method=_lbfgs_lanes. The outcome has converged
+    when the best lane's gradient passes GRAD_TOL, and evals sums the
+    lanes."""
+    end = minimize(fun, np.zeros(lanes * n), method=_lbfgs_lanes,
+                   options={"maxfun": int(max_evals), "lanes": lanes})
+    return _SearchOutcome(float(end.fun), end.x, bool(end.success), end.nfev, end.run)
+
+
+def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
+    """A Powell search from each (fn, x0) of runs, one after another, with
+    max_evals value calls, xtol and ftol; the best outcome. Each run is one
+    call of scipy's minimize. Only the eigenbasis search of sic and
+    protocols.ree_numeric run here; every gradient search is one
+    _lanes_search.
     """
     best = None
     total = 0
     for idx, (fn, x0) in enumerate(runs):
-        x0 = np.asarray(x0, dtype=float)
-        if gradient:
-            res = minimize(fn, x0, method=_lbfgs, options={"maxfun": int(max_evals)})
-        else:
-            res = minimize(fn, x0, method="Powell",
-                           options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol})
-        converged = bool(res.success)
+        res = minimize(fn, np.asarray(x0, dtype=float), method="Powell",
+                       options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol})
         total += res.nfev
         # ties broken by start order: strict < keeps the earliest
         if best is None or res.fun < best.value:
             best = _SearchOutcome(float(res.fun), np.asarray(res.x, dtype=float),
-                                  converged, 0, idx)
+                                  bool(res.success), 0, idx)
     return best._replace(evals=total)
 
 
 def _negated(out):
-    """-out for a (value, gradient) pair, the gradient a list or an array."""
+    """-out for a (value, gradient list) pair."""
     value, grad = out
-    return -value, list(map(neg, grad)) if grad.__class__ is list else -grad
+    return -value, list(map(neg, grad))
 
 
 def _named(fn, qualname: str):
-    """fn with __qualname__ set: perfbench/tracer.py tells the Alice
-    searches apart by the qualname of the objective handed to minimize."""
+    """fn with __qualname__ set: perfbench/tracer.py tells the searches
+    apart by the qualname of the objective handed to minimize."""
     fn.__qualname__ = qualname
     return fn
 
@@ -700,30 +699,23 @@ def _search_frames(rho: DensityMatrix, frames: list, bob: np.ndarray, kind: Dist
     the gradient searches in the chart around each frame (unitaries, kets
     as columns), each with at most max_evals calls; x of the outcome is the
     achieving unitary. One batched _rotated call turns the state into every
-    frame. Two qubits run the scalar Bloch objective, one start after
-    another. Other dims run every start as a lane of one lockstep L-BFGS
-    (_lbfgs_lanes) on one stacked general objective, a single minimize call
-    whose nfev sums the lanes. The objectives handed to minimize carry the
-    qualname `caller`."""
+    frame, and every start is a lane of one lockstep search (_lanes_search),
+    whose objective carries the qualname `caller`. Two qubits run the scalar
+    Bloch objective of each frame, one lane after another; other dims run
+    the general objective over the stacked frames, one call per round."""
     da, db = rho.dims
-    origin = np.zeros(da * da - da)
     sigs = _rotated(rho.data, np.array(frames), bob)
     if rho.dims == (2, 2):
-        res = _multistart_minimize(
-            ((_named(lambda x, f=_objective_bloch_2q(sig, kind): _negated(f(x)), caller),
-              origin) for sig in sigs),
-            max_evals, gradient=True)
+        fun = _lanes_of([lambda x, f=_objective_bloch_2q(sig, kind): _negated(f(x))
+                         for sig in sigs])
     else:
         f = _objective_general(sigs, da, db, kind)
 
-        def lanes_f(points, idx):
+        def fun(points, idx):
             values, grads = f(points, idx)
-            return -values, -grads
+            return zip((-values).tolist(), (-grads).tolist())
 
-        end = minimize(_named(lanes_f, caller), np.tile(origin, len(frames)),
-                       method=_lbfgs_lanes,
-                       options={"maxfun": int(max_evals), "lanes": len(frames)})
-        res = _SearchOutcome(float(end.fun), end.x, bool(end.success), end.nfev, end.run)
+    res = _lanes_search(_named(fun, caller), len(frames), da * da - da, max_evals)
     return res._replace(value=-res.value, x=frames[res.run] @ _chart_unitary(da, res.x))
 
 
@@ -812,10 +804,11 @@ def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
 
     Each start is a frame: the families re-centred on their members at the
     start point (the origin, then seeded Gaussian draws), searched by the
-    L-BFGS from phi = 0. A chart maps the whole sphere |x| = pi / sqrt(2)
-    of each 2-fold block back onto its centre with the kets swapped; when
-    the centre is a saddle that sphere attracts, so every start sharing one
-    chart can stop there, stationary but not minimal.
+    L-BFGS from phi = 0, every start a lane of one lockstep search. A
+    chart maps the whole sphere |x| = pi / sqrt(2) of each 2-fold block
+    back onto its centre with the kets swapped; when the centre is a saddle
+    that sphere attracts, so every start sharing one chart can stop there,
+    stationary but not minimal.
     """
     na = 0 if fam_a is None else fam_a.n_params
     n = na + fam_b.n_params
@@ -827,9 +820,11 @@ def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     for x in rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), n)):
         frames.append((None if fam_a is None else fam_a.centred(x[:na]),
                        fam_b.centred(x[na:])))
-    res = _multistart_minimize(
-        ((_disturbance_objective(rho, fa, fb, kind), np.zeros(n)) for fa, fb in frames),
-        budget.outer_evals, gradient=True)
+    fun = _lanes_of([_disturbance_objective(rho, fa, fb, kind) for fa, fb in frames])
+    # perfbench/tracer.py classes a search whose objective's qualname ends in
+    # .obj as an eigenbasis search
+    res = _lanes_search(_named(fun, f"{_minimize_disturbance.__qualname__}.<locals>.obj"),
+                        len(frames), n, budget.outer_evals)
     return (res, *frames[res.run])
 
 

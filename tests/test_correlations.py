@@ -1,9 +1,11 @@
 """Basis search spaces, B-side disturbance and steered coherence."""
 
+import importlib.util
 import math
 import operator
 import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,9 +49,9 @@ from steercoh.correlations import (
     _chart_unitary,
     _disturbance_objective,
     _exact_inner_l1_2q,
-    _lbfgs,
+    _lanes_of,
+    _lbfgs_lanes,
     _maximize_alice,
-    _negated,
     _objective_bloch_2q,
     _objective_general,
     _rotated,
@@ -301,8 +303,20 @@ def _alice_objective(rho, frame, bob, kind):
     return _objective_general(sig, *rho.dims, kind)
 
 
+def _negated(out):
+    """-out for a (value, gradient) pair, the gradient a list or an array."""
+    value, grad = out
+    return -value, list(map(operator.neg, grad)) if grad.__class__ is list else -grad
+
+
+def _one_lane(fun, x0, maxfun, **_):
+    """The in-library L-BFGS from x0, as a custom method for minimize: one
+    lane of _lbfgs_lanes, fun handed through the per-start adapter."""
+    return _lbfgs_lanes(_lanes_of([fun]), x0, maxfun, 1)
+
+
 def _run_lbfgs(fn, x0, maxfun=2000):
-    return minimize(fn, np.asarray(x0, dtype=float), method=_lbfgs,
+    return minimize(fn, np.asarray(x0, dtype=float), method=_one_lane,
                     options={"maxfun": maxfun})
 
 
@@ -363,25 +377,6 @@ def test_lbfgs_trial_steps_stay_within_step_max(monkeypatch):
                      np.zeros(3))
     assert res.success
     assert 1.0 - 1e-9 <= max(lengths) <= 1.0 + 1e-12
-
-
-def test_maximize_alice_searches_through_minimize(monkeypatch):
-    # perfbench's tracer counts searches by rebinding correlations.minimize
-    real = correlations.minimize
-    calls = []
-
-    def counted(*args, **kwargs):
-        res = real(*args, **kwargs)
-        calls.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(correlations, "minimize", counted)
-    rho = random_state_nondegenerate_b((2, 2), np.random.default_rng(23))
-    bob = _b_marginal_family(rho).base.matrix
-    res = _maximize_alice(rho, bob, DistanceKind.RELATIVE_ENTROPY,
-                          SearchBudget(starts=5, max_evals=200), np.random.default_rng(0))
-    assert len(calls) == 5
-    assert res.evals == sum(calls)
 
 
 def _scipy_lbfgsb(fn, x0):
@@ -533,16 +528,21 @@ def _reference_lbfgs(fun, x0, maxfun, **_):
                           success=max(map(abs, cur.g), default=0.0) <= correlations.GRAD_TOL)
 
 
-def _assert_same_run(fn, x0, maxfun, engine=_reference_lbfgs, other=None):
-    """The in-library engine on fn and `engine` on `other` (default fn) make
-    the same run: the same x, value, call count and success, bit for bit."""
-    x0 = np.asarray(x0, dtype=float)
-    ours = minimize(fn, x0, method=_lbfgs, options={"maxfun": maxfun})
-    ref = minimize(other or fn, x0, method=engine, options={"maxfun": maxfun})
+def _assert_same(ours, ref):
+    """Two runs ended the same: the same x, value, call count, success and
+    gradient, bit for bit."""
     assert ours.x.tobytes() == ref.x.tobytes()
     assert ours.fun.hex() == ref.fun.hex()
     assert (ours.nfev, ours.success) == (ref.nfev, ref.success)
     assert ours.jac.tobytes() == ref.jac.tobytes()
+
+
+def _assert_same_run(fn, x0, maxfun, engine=_reference_lbfgs, other=None):
+    """The in-library engine (one lane of _lbfgs_lanes) on fn and `engine`
+    on `other` (default fn) make the same run, bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    ours = minimize(fn, x0, method=_one_lane, options={"maxfun": maxfun})
+    _assert_same(ours, minimize(other or fn, x0, method=engine, options={"maxfun": maxfun}))
     return ours
 
 
@@ -579,6 +579,7 @@ def test_lbfgs_runs_bit_identical_to_the_reference_loop_on_disturbance_searches(
 
 
 def test_lbfgs_run_is_the_same_for_list_and_array_gradients():
+    # the per-start adapter takes either form of gradient
     rng = np.random.default_rng(27)
     rho = random_state_nondegenerate_b((2, 2), rng)
     bob = _b_marginal_family(rho).base.matrix
@@ -591,7 +592,7 @@ def test_lbfgs_run_is_the_same_for_list_and_array_gradients():
             value, grad = as_list(x)
             return value, np.array(grad)
 
-        ours = _assert_same_run(as_list, np.zeros(2), 2000, engine=_lbfgs, other=as_array)
+        ours = _assert_same_run(as_list, np.zeros(2), 2000, engine=_one_lane, other=as_array)
         assert ours.success
 
 
@@ -624,6 +625,22 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
         lanes[slot] = yield from real(x, maxfun)
         return lanes[slot]
 
+    def kept(name):
+        """The objectives the factory correlations.<name> makes from now
+        on, in order."""
+        made = []
+        factory = getattr(correlations, name)
+
+        def keep(*args):
+            made.append(factory(*args))
+            return made[-1]
+
+        monkeypatch.setattr(correlations, name, keep)
+        return made
+
+    def reference(fn, n, maxfun):
+        return minimize(fn, np.zeros(n), method=_reference_lbfgs, options={"maxfun": maxfun})
+
     monkeypatch.setattr(correlations, "_lbfgs_points", recorded)
     rng = np.random.default_rng(28)
     maxfun = 500
@@ -637,13 +654,17 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
             sigs = _rotated(rho.data, frames, bob)
             for kind in KINDS:
                 batched = _objective_general(sigs, da, db, kind)
+
+                def negated(xs, idx):
+                    values, grads = batched(xs, idx)
+                    return zip((-values).tolist(), (-grads).tolist())
+
                 lanes.clear()
-                res = minimize(lambda xs, idx: tuple(-a for a in batched(xs, idx)),
-                               np.zeros(len(frames) * n), method=correlations._lbfgs_lanes,
+                res = minimize(negated, np.zeros(len(frames) * n), method=_lbfgs_lanes,
                                options={"maxfun": maxfun, "lanes": len(frames)})
                 runs = lanes[:]
-                seq = [_run_lbfgs(lambda x, f=_objective_general(sig, da, db, kind): _negated(f(x)),
-                                  np.zeros(n), maxfun) for sig in sigs]
+                seq = [reference(lambda x, f=_objective_general(sig, da, db, kind): _negated(f(x)),
+                                 n, maxfun) for sig in sigs]
                 assert len(runs) == len(seq)
                 for lane, ref in zip(runs, seq):
                     assert abs(lane.fun - ref.fun) <= 1e-12, (dims, kind)
@@ -658,6 +679,41 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
                     # the identity lane stops after one call, the others run on
                     assert runs[0].nfev == 1 and runs[0].success
                     assert max(lane.nfev for lane in runs) > 1
+
+    def assert_lanes_are(seq, out, sign):
+        # lanes on the per-start objectives make the sequential runs bit for
+        # bit, and the search reports the first best of them
+        assert len(lanes) == len(seq) > 1
+        for lane, ref in zip(lanes, seq):
+            _assert_same(lane, ref)
+        best = min(range(len(seq)), key=lambda j: seq[j].fun)
+        assert (out.value, out.converged) == (sign * seq[best].fun, seq[best].success)
+        assert (out.evals, out.run) == (sum(ref.nfev for ref in seq), best)
+
+    # two qubits: the Bloch objective of each frame, one lane after another
+    made = kept("_objective_bloch_2q")
+    for _ in range(3):
+        rho = random_state_nondegenerate_b((2, 2), rng)
+        bob = _b_marginal_family(rho).base.matrix
+        frames = list(_lane_frames(2, rng))
+        for kind in KINDS:
+            made.clear()
+            lanes.clear()
+            out = correlations._search_frames(rho, frames, bob, kind, maxfun, "t")
+            assert_lanes_are([reference(lambda x, f=f: _negated(f(x)), 2, maxfun)
+                              for f in made], out, -1.0)
+    # a Bell-diagonal mid: the disturbance objective of each start frame
+    made = kept("_disturbance_objective")
+    rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
+    fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
+    fam_b = _b_marginal_family(rho)
+    budget = SearchBudget(outer_starts=4, outer_evals=300)
+    for kind in (DistanceKind.RELATIVE_ENTROPY, DistanceKind.TRACE_NORM):
+        made.clear()
+        lanes.clear()
+        out, _, _ = correlations._minimize_disturbance(rho, fam_a, fam_b, kind, budget, 31)
+        assert_lanes_are([reference(obj, fam_a.n_params + fam_b.n_params, budget.outer_evals)
+                          for obj in made], out, 1.0)
 
 
 def test_general_objective_lanes_match_single_lane_calls():
@@ -685,31 +741,81 @@ def test_general_objective_lanes_match_single_lane_calls():
                         assert np.abs(grads[j] - grad).max() <= 1e-13
 
 
-def test_lockstep_alice_searches_enter_minimize_once(monkeypatch):
-    # perfbench's tracer counts searches by rebinding correlations.minimize
-    # and classifies them by the qualname of the objective handed to it
+def _tracer_search_class():
+    """search_class of perfbench/tracer.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.search_class
+
+
+def _minimize_calls(monkeypatch):
+    """Every call of correlations.minimize from now on, as (the tracer's
+    search class, the objective's qualname, method, lanes, nfev, success)."""
+    search_class = _tracer_search_class()
     real = correlations.minimize
     calls = []
 
     def counted(fn, *args, **kwargs):
         res = real(fn, *args, **kwargs)
-        calls.append((fn.__qualname__, res.nfev, res.success))
+        calls.append((search_class(fn), fn.__qualname__, kwargs["method"],
+                      kwargs["options"].get("lanes"), res.nfev, res.success))
         return res
 
     monkeypatch.setattr(correlations, "minimize", counted)
-    rho = random_state_nondegenerate_b((3, 2), np.random.default_rng(30))
+    return calls
+
+
+def _alice_search_calls(monkeypatch, dims, seed):
+    calls = _minimize_calls(monkeypatch)
+    rho = random_state_nondegenerate_b(dims, np.random.default_rng(seed))
     bob = _b_marginal_family(rho).base.matrix
     res = _maximize_alice(rho, bob, DistanceKind.RELATIVE_ENTROPY,
                           SearchBudget(starts=5, max_evals=200), np.random.default_rng(0))
-    assert calls == [("_maximize_alice", res.evals, res.converged)]
+    return calls, res
+
+
+def test_maximize_alice_searches_through_minimize(monkeypatch):
+    # perfbench's tracer counts searches by rebinding correlations.minimize;
+    # a two-qubit Alice search enters it once, with one lane per start
+    calls, res = _alice_search_calls(monkeypatch, (2, 2), 23)
+    assert calls == [("alice", "_maximize_alice", _lbfgs_lanes, 5, res.evals, res.converged)]
+
+
+def test_lockstep_alice_searches_enter_minimize_once(monkeypatch):
+    # perfbench's tracer counts searches by rebinding correlations.minimize
+    # and classifies them by the qualname of the objective handed to it
+    calls, res = _alice_search_calls(monkeypatch, (3, 2), 30)
+    assert calls == [("alice", "_maximize_alice", _lbfgs_lanes, 5, res.evals, res.converged)]
     # a degenerate B marginal adds the light passes of the outer search
+    for rho in (DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3)),
+                werner_state(0.6)):
+        calls.clear()
+        sic(rho, "r", SearchBudget(starts=3, max_evals=100, outer_starts=1, outer_evals=5,
+                                   refine_evals=20))
+        light = [c for c in calls if c[0] == "refine"]
+        assert light and all(c[2] is _lbfgs_lanes and c[4] <= c[3] * 20 <= 3 * 20
+                             for c in light)
+        assert [c[1] for c in calls if c not in light][-1] == "_maximize_alice"
+
+
+def test_disturbance_searches_enter_minimize_once(monkeypatch):
+    # one lockstep search per b_side_mid or mid, with one lane per start,
+    # which the tracer classes as an eigenbasis search
+    calls = _minimize_calls(monkeypatch)
+    rho = bell_diagonal_state([0.4, 0.3, 0.2, 0.1])
+    budget = SearchBudget(outer_starts=3, outer_evals=100)
+    for detail in (b_side_mid_detail, mid_detail):
+        for kind in ("r", "t"):
+            calls.clear()
+            res = detail(rho, kind, budget)
+            assert [(c[0], c[2], c[3], c[5]) for c in calls] == [
+                ("eigenbasis", _lbfgs_lanes, 3, res.converged)], (detail, kind)
+    # a simple marginal leaves nothing to search
     calls.clear()
-    sic(DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3)), "r",
-        SearchBudget(starts=3, max_evals=100, outer_starts=1, outer_evals=5,
-                     refine_evals=20))
-    light = [c for c in calls if "inner_light" in c[0]]
-    assert light and all(nfev <= 3 * 20 for _, nfev, _ in light)
-    assert [c[0] for c in calls if c not in light][-1] == "_maximize_alice"
+    b_side_mid_detail(random_state_nondegenerate_b((2, 2), np.random.default_rng(31)), "r")
+    assert calls == []
 
 
 def test_b_side_mid_of_gap_example():
