@@ -26,10 +26,15 @@ of the general objective over the stacked frames; the two-qubit Bloch
 objective and the disturbance objective are one function per start, called
 one after another (_lanes_of). Each disturbance start re-centres the
 eigenbasis charts on its own frame.
-The eigenbasis search of sic runs scipy's Powell. Degenerate marginals add
-an outer minimization over the same chart on each degenerate block of the
-eigenbasis. Each search draws all of its random starts in one call, which
-gives the same starts as one draw per start.
+A degenerate B marginal makes sic a minimax: an outer minimization over the
+same chart on each degenerate block of Bob's eigenbasis, of Alice's best
+value. It runs the same L-BFGS on the Danskin gradient: the gradient in
+Bob's chart of the average steered coherence at Alice's best basis, which
+is the B-side disturbance gradient of the classical-quantum state her
+measurement leaves (_danskin_objective). Each search draws all of its
+random starts in one call, which gives the same starts as one draw per
+start. Only protocols.ree_numeric still runs scipy's Powell
+(_multistart_minimize).
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .sampling import (
     random_state_nondegenerate_b,
     random_stinespring_kraus,
 )
-from .twoqubit import _max_steered_l1, _pauli_coefficients
+from .twoqubit import _pauli_coefficients
 
 # Eigenvalues closer than this are treated as degenerate, activating the
 # eigenbasis-family optimization.
@@ -85,12 +90,11 @@ class SearchBudget:
     starts / max_evals control the inner (Alice basis) maximization;
     outer_starts / outer_evals the eigenbasis-family minimization;
     refine_evals the light warm-started inner passes used while the outer
-    search explores. The Alice and disturbance searches run the in-library
-    L-BFGS with all starts of a search in lockstep (_lbfgs_lanes), so
-    max_evals, refine_evals and, in b_side_mid and mid, outer_evals cap the
-    value+gradient calls of each start. The eigenbasis search of sic and
-    protocols.ree_numeric run Powell, capped in value calls (outer_evals and
-    max_evals).
+    search explores. The Alice, disturbance and eigenbasis searches run the
+    in-library L-BFGS with all starts of a search in lockstep
+    (_lbfgs_lanes), so max_evals, refine_evals and outer_evals cap the
+    value+gradient calls of each start. protocols.ree_numeric runs Powell,
+    capped in value calls (max_evals).
     """
 
     starts: int = 32
@@ -663,9 +667,8 @@ def _lanes_search(fun, lanes: int, n: int, max_evals: int) -> _SearchOutcome:
 def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
     """A Powell search from each (fn, x0) of runs, one after another, with
     max_evals value calls, xtol and ftol; the best outcome. Each run is one
-    call of scipy's minimize. Only the eigenbasis search of sic and
-    protocols.ree_numeric run here; every gradient search is one
-    _lanes_search.
+    call of scipy's minimize. Only protocols.ree_numeric runs here; every
+    search of sic, b_side_mid and mid is one _lanes_search.
     """
     best = None
     total = 0
@@ -746,8 +749,10 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     In the members' frame sigma = v^dag rho v, v = ua (x) ub, the dephasing
     (a pinching, so the relative entropy is an entropy gap) keeps the
     entries marked by `keep`, and df = tr(M dsigma) with M = -log2 of the
-    kept part for kind 'r' (eigenvalues floored at EIG_FLOOR) and M = S -
-    Delta(S), S = sign(sigma - kept part), for 't'. The gradient in v is
+    kept part for kind 'r' (eigenvalues floored at EIG_FLOOR), M = S -
+    Delta(S), S = sign(sigma - kept part), for 't', and for 'l1' (the sum of
+    the moduli of the entries off the kept part) the phases sigma / |sigma|
+    of those entries, zero where |sigma| <= EIG_FLOOR. The gradient in v is
     2 rho v M; contracting it with conj(ua) or conj(ub) splits it by side,
     and each family pulls its side back to its chart. With no parameters
     the gradient is empty and none of it is computed.
@@ -759,6 +764,7 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     eye_a = np.eye(da)
     keep = np.kron(np.ones((da, da)) if fam_a is None else eye_a, np.eye(db))
     is_r = kind is DistanceKind.RELATIVE_ENTROPY
+    is_l1 = kind is DistanceKind.L1
     s_rho = von_neumann_entropy(rho) if is_r else 0.0
     empty = np.zeros(0)
 
@@ -770,7 +776,8 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
             if is_r:
                 value = float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho
                 return max(0.0, value), empty
-            return float(np.abs(np.linalg.eigvalsh(rot - rot * keep)).sum()), empty
+            off = rot - rot * keep
+            return float((np.abs(off) if is_l1 else np.abs(np.linalg.eigvalsh(off))).sum()), empty
         ua, pull_a = (eye_a, None) if fam_a is None else fam_a._columns_with_pullback(phi[:na])
         ub, pull_b = fam_b._columns_with_pullback(phi[na:])
         v = _product_frame(ua, ub)
@@ -781,6 +788,11 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
             if value <= 0.0:
                 return 0.0, np.zeros(n)
             mmat = (vec * -np.log2(np.maximum(lam, EIG_FLOOR))) @ vec.conj().T
+        elif is_l1:
+            off = rot - rot * keep
+            mag = np.abs(off)
+            value = float(mag.sum())
+            mmat = np.divide(off, mag, out=np.zeros_like(off), where=mag > EIG_FLOOR)
         else:
             lam, vec = np.linalg.eigh(rot - rot * keep)
             value = float(np.abs(lam).sum())
@@ -904,12 +916,16 @@ def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
     coherence. One pipeline serves every marginal: when rho_B is degenerate
     an outer search first picks Bob's eigenbasis against light Alice passes
     (_minimize_bob_basis); then a full Alice search runs against that basis,
-    and the reported value is re-evaluated at the returned witness bases.
-    converged holds only when the outer search converged (a simple marginal
-    has none to run), the full Alice search converged, the full search did
-    not beat the outer value by more than 1e-6 (a light pass undershot at
-    the chosen basis) and the re-evaluated value agrees with the search's
-    to 1e-7.
+    warm-started from the outer search's witness, and the reported value is
+    re-evaluated at the returned witness bases. converged holds only when
+    the outer search converged (a simple marginal has none to run), the
+    full Alice search converged, the full search did not beat the outer
+    value by more than 1e-6 (a light pass undershot at the chosen basis),
+    the re-evaluated value agrees with the search's to 1e-7 and, for a
+    degenerate marginal, the outer gradient at the full search's witness
+    (_danskin_objective, at the chart centred on Bob's basis) passes
+    GRAD_TOL: where the inner maximiser is not unique, the gradient the
+    outer search followed need not be the one at the reported witness.
     """
     kind = DistanceKind.parse(kind)
     if kind is DistanceKind.TRACE_NORM:
@@ -927,13 +943,37 @@ def sic(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
     fam = _b_marginal_family(rho)
     warm = []
     outer = _minimize_bob_basis(rho, kind, fam, budget, rng, warm)
-    res = _maximize_alice(rho, fam._columns(outer.x), kind, budget, rng, warm)
+    res = _maximize_alice(rho, outer.x, kind, budget, rng, warm)
     alice = ProjectiveBasis.from_columns(res.x)
-    bob = fam.member(outer.x)
+    bob = fam.base if fam.is_trivial else ProjectiveBasis.from_columns(outer.x)
     value = avg_steered_coherence(rho, alice, bob, kind)
     converged = (outer.converged and res.converged and res.value <= outer.value + 1e-6
                  and abs(value - res.value) <= 1e-7)
+    if converged and not fam.is_trivial:
+        _, grad = _danskin_objective(rho, res.x, replace(fam, base=bob), kind)(
+            np.zeros(fam.n_params))
+        converged = bool(np.abs(grad).max() <= GRAD_TOL)
     return SicResult(value, alice, bob, converged)
+
+
+def _danskin_objective(rho: DensityMatrix, alice: np.ndarray, fam: EigenbasisFamily,
+                       kind: DistanceKind):
+    """phi -> (value, gradient): the average steered coherence at Alice's
+    fixed basis `alice` (kets as columns) against Bob's basis
+    fam.member(phi), with its gradient in phi.
+
+    Alice's measurement leaves the classical-quantum state sigma = sum_i
+    |i><i| (x) p_i rho_i, rho in her frame dephased on her side. Its B-side
+    disturbance in Bob's basis is sum_i p_i C(rho_i), the average steered
+    coherence there, so this is _disturbance_objective on sigma. At Alice's
+    best basis for Bob's basis at phi, its gradient is the gradient of the
+    outer function of the sic minimax (Danskin's theorem), when that best
+    basis is unique.
+    """
+    da, db = rho.dims
+    rot = _rotated(rho.data, alice, np.eye(db))
+    sigma = DensityMatrix(rot * np.kron(np.eye(da), np.ones((db, db))), rho.dims)
+    return _disturbance_objective(sigma, None, fam, kind)
 
 
 def _exact_inner_l1_2q(rho: DensityMatrix):
@@ -942,52 +982,81 @@ def _exact_inner_l1_2q(rho: DensityMatrix):
     The averaged steered l1 coherence at Alice direction u and Bob's
     reference axis n is |(1 - n n^t) T^t u| whenever n is parallel to b, so
     on any eigenbasis of rho_B (every basis when rho_B is maximally mixed)
-    the maximum over u is twoqubit._max_steered_l1(T, n). Used only to steer
-    the outer search; the returned witness value always comes from the
-    generic path.
+    the maximum over u is twoqubit._max_steered_l1(T, n), reached at the
+    top right singular vector u of (1 - n n^t) T^t. Returns bob ->
+    (maximum, Alice's maximising unitary, kets as columns: the kets with
+    Bloch vectors +-u). Used only to steer the outer search; the returned
+    witness value always comes from the generic path.
     """
     tmat = _pauli_coefficients(rho.data)[1:, 1:]
 
-    def value(bob: np.ndarray) -> float:
+    def inner(bob: np.ndarray):
         v = bob[:, 0]
         rho01 = v[0] * np.conj(v[1])
         n = np.array([2.0 * rho01.real, -2.0 * rho01.imag,
                       abs(v[0]) ** 2 - abs(v[1]) ** 2])
-        return _max_steered_l1(tmat, n)
+        _, s, vh = np.linalg.svd((np.eye(3) - np.outer(n, n)) @ tmat.T)
+        # the sign of u only swaps the kets; this one keeps 1 + u_z >= 1
+        ux, uy, uz = vh[0] if vh[0, 2] >= 0.0 else -vh[0]
+        a, b = 1.0 + uz, ux + 1j * uy
+        ket = np.array([a, b]) / math.sqrt(2.0 * a)
+        return float(s[0]), np.array([[ket[0], -ket[1].conjugate()],
+                                      [ket[1], ket[0].conjugate()]])
 
-    return value
+    return inner
 
 
 def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamily,
                         budget: SearchBudget, rng: np.random.Generator,
                         warm: list) -> _SearchOutcome:
-    """Outer search of the sic minimax: the chart point of `fam` (an
-    eigenbasis of rho_B) minimizing light warm-started Alice passes. Each
-    pass starts from the unitary in `warm` and leaves its best Alice unitary
-    there. A simple marginal has nothing to search: its outcome is the empty
-    point with value +inf, converged."""
+    """Outer search of the sic minimax: the eigenbasis of rho_B (a member of
+    `fam`) minimizing Alice's best average steered coherence against it. x
+    of the outcome is Bob's unitary (kets as columns), and `warm` receives
+    Alice's witness there. A simple marginal has nothing to search: its
+    outcome is the base eigenbasis with value +inf, converged.
+
+    One lockstep L-BFGS (_lanes_search) runs outer_starts lanes. Each lane
+    re-centres `fam` on its own member (the base eigenbasis, then seeded
+    Gaussian draws) and searches from phi = 0, as _minimize_disturbance
+    does. At each point Alice's best basis comes from a light pass (the
+    lane's witness at the last point it evaluated, the identity and one
+    fixed Haar frame, refine_evals calls each), or from the exact inner
+    maximum for l1 on two qubits; value and gradient are those of
+    _danskin_objective at that witness. Each lane keeps the witness of
+    every point it evaluates.
+    """
     if fam.is_trivial:
-        return _SearchOutcome(math.inf, np.zeros(0), True, 0, 0)
+        return _SearchOutcome(math.inf, fam.base.matrix, True, 0, 0)
     da = rho.dims[0]
-    fixed_frame = haar_unitary(da, rng)
+    frames = [np.eye(da, dtype=complex), haar_unitary(da, rng)]
+    fams = [fam, *(fam.centred(x) for x in rng.normal(
+        scale=1.2, size=(max(budget.outer_starts - 1, 0), fam.n_params)))]
     exact_inner = None
     if kind is DistanceKind.L1 and rho.dims == (2, 2):
         exact_inner = _exact_inner_l1_2q(rho)
+    witnesses = [{} for _ in fams]  # per lane: point -> Alice's witness there
+    last = [[] for _ in fams]  # per lane: the witness at its last point
 
-    def inner_light(bob: np.ndarray) -> float:
+    def inner_light(bob: np.ndarray, lane: int) -> np.ndarray:
         if exact_inner is not None:
-            return exact_inner(bob)
-        res = _search_frames(rho, [*warm, np.eye(da, dtype=complex), fixed_frame], bob,
-                             kind, budget.refine_evals, inner_light.__qualname__)
-        warm[:] = [res.x]
-        return res.value
+            return exact_inner(bob)[1]
+        return _search_frames(rho, [*last[lane], *frames], bob, kind, budget.refine_evals,
+                              inner_light.__qualname__).x
 
-    def outer_obj(phi):
-        return inner_light(fam._columns(phi))
+    def outer_obj(points, idx):
+        out = []
+        for j, x in zip(idx, points):
+            phi = np.array(x)
+            alice = inner_light(fams[j]._columns(phi), j)
+            last[j] = [alice]
+            witnesses[j][tuple(x)] = alice
+            value, grad = _danskin_objective(rho, alice, fams[j], kind)(phi)
+            out.append((value, grad.tolist()))
+        return out
 
-    starts = [np.zeros(fam.n_params),
-              *rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), fam.n_params))]
-    return _multistart_minimize(((outer_obj, x0) for x0 in starts), budget.outer_evals)
+    res = _lanes_search(outer_obj, len(fams), fam.n_params, budget.outer_evals)
+    warm[:] = [witnesses[res.run][tuple(res.x.tolist())]]
+    return res._replace(x=fams[res.run]._columns(res.x))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from steercoh.correlations import (
     _b_marginal_family,
     _binary_entropy,
     _chart_unitary,
+    _danskin_objective,
     _disturbance_objective,
     _exact_inner_l1_2q,
     _lanes_of,
@@ -278,7 +279,11 @@ def test_exact_inner_l1_is_the_bloch_maximum_on_bell_diagonal_states():
     generous = SearchBudget(starts=8, max_evals=3000)
 
     def check(rho, bob):
-        top = _exact_inner_l1_2q(rho)(bob)
+        top, alice = _exact_inner_l1_2q(rho)(bob)
+        # the returned maximiser reaches the maximum
+        at = avg_steered_coherence(rho, ProjectiveBasis.from_columns(alice),
+                                   ProjectiveBasis.from_columns(bob), "l1")
+        assert abs(at - top) <= 1e-12
         f = _objective_bloch_2q(_rotated(rho.data, np.eye(2), bob), DistanceKind.L1)
         for _ in range(200):
             assert f(rng.normal(scale=1.2, size=2))[0] <= top + 1e-12
@@ -788,16 +793,24 @@ def test_lockstep_alice_searches_enter_minimize_once(monkeypatch):
     # and classifies them by the qualname of the objective handed to it
     calls, res = _alice_search_calls(monkeypatch, (3, 2), 30)
     assert calls == [("alice", "_maximize_alice", _lbfgs_lanes, 5, res.evals, res.converged)]
-    # a degenerate B marginal adds the light passes of the outer search
-    for rho in (DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3)),
-                werner_state(0.6)):
+    # a degenerate B marginal adds one outer search, a lane per outer start,
+    # with the light passes of its lanes inside it (recorded first, as they
+    # return first); the exact l1 inner maximum of two qubits needs none
+    budget = SearchBudget(starts=3, max_evals=100, outer_starts=2, outer_evals=5,
+                          refine_evals=20)
+    for rho, kind in ((DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3)),
+                       "r"),
+                      (werner_state(0.6), "r"),
+                      (bell_diagonal_state([0.4, 0.3, 0.2, 0.1]), "l1")):
         calls.clear()
-        sic(rho, "r", SearchBudget(starts=3, max_evals=100, outer_starts=1, outer_evals=5,
-                                   refine_evals=20))
+        sic(rho, kind, budget)
         light = [c for c in calls if c[0] == "refine"]
-        assert light and all(c[2] is _lbfgs_lanes and c[4] <= c[3] * 20 <= 3 * 20
-                             for c in light)
-        assert [c[1] for c in calls if c not in light][-1] == "_maximize_alice"
+        assert (len(light) > 0) == (kind == "r")
+        assert all(c[1].endswith(".inner_light") and c[2] is _lbfgs_lanes
+                   and c[4] <= c[3] * 20 <= 3 * 20 for c in light)
+        assert [c[:4] for c in calls if c not in light] == [
+            ("eigenbasis", "_minimize_bob_basis.<locals>.outer_obj", _lbfgs_lanes, 2),
+            ("alice", "_maximize_alice", _lbfgs_lanes, 3)]
 
 
 def test_disturbance_searches_enter_minimize_once(monkeypatch):
@@ -1073,6 +1086,85 @@ def test_sic_unconverged_when_full_search_beats_outer_value(monkeypatch):
     assert res.value == ref.value
     again = avg_steered_coherence(rho, res.alice_basis, res.bob_basis, "r")
     assert res.value == again
+
+
+def test_sic_unconverged_when_the_witness_fails_the_danskin_gradient_test(monkeypatch):
+    # a full-search witness off the inner maximiser (as where that maximiser
+    # is not unique) leaves the outer gradient there above GRAD_TOL; every
+    # other condition of converged still holds
+    real = correlations._maximize_alice
+
+    def perturbed(*args):
+        out = real(*args)
+        return out._replace(x=out.x @ _chart_unitary(2, np.array([1e-5, 0.0])))
+
+    rho = werner_state(0.6)
+    ref = sic(rho, "r", LIGHT, seed=0)
+    assert ref.converged
+    monkeypatch.setattr(correlations, "_maximize_alice", perturbed)
+    res = sic(rho, "r", LIGHT, seed=0)
+    assert abs(res.value - ref.value) <= 1e-9
+    assert not res.converged
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sic_of_large_maximally_entangled_states_is_log_d(d):
+    # a fully degenerate B marginal, at criterion 3's BUDGET_PROPS (LIGHT):
+    # theorem 2 gives sic^r = S(rho_B) = log2 d
+    rho = DensityMatrix.from_pure(np.eye(d).reshape(-1) / np.sqrt(d), (d, d))
+    res = sic(rho, "r", LIGHT, seed=0)
+    assert res.converged
+    assert abs(res.value - math.log2(d)) <= 1e-8
+
+
+def test_danskin_gradient_matches_central_differences_at_a_fixed_witness():
+    # at a fixed Alice basis the outer value is the average steered
+    # coherence against Bob's eigenbasis member(phi); _danskin_objective
+    # gives it, and its gradient, as a B-side disturbance
+    rng = np.random.default_rng(26)
+    cases = [(rho, "r") for rho, _ in _degenerate_states().values()]
+    cases += [(bell_diagonal_state(rng.dirichlet(np.ones(4))), "l1") for _ in range(3)]
+    for rho, kind in cases:
+        fam = _b_marginal_family(rho)
+        n = fam.n_params
+        for _ in range(3):
+            alice = haar_unitary(rho.dims[0], rng)
+            basis = ProjectiveBasis.from_columns(alice)
+            obj = _danskin_objective(rho, alice, fam, DistanceKind.parse(kind))
+
+            def outer(phi):
+                return avg_steered_coherence(rho, basis, fam.member(phi), kind)
+
+            phi = rng.normal(scale=1.2, size=n)
+            value, grad = obj(phi)
+            assert abs(value - outer(phi)) <= 1e-12
+            h = 1e-6
+            fd = [(outer(phi + h * e) - outer(phi - h * e)) / (2 * h) for e in np.eye(n)]
+            assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
+def test_outer_search_reaches_the_bell_diagonal_l1_minimum():
+    # criterion 3's first 40 Bell-diagonal states, drawn after its 500
+    # generic ones, at its BUDGET_PROPS (LIGHT) and seeds. The outer minimum
+    # over Bob's axis n of sigma_max(T (1 - n n^t)) is sigma_2(T), reached at
+    # T's top right singular vector v1. It is reached on a cap of the great
+    # circle through v1 and the bottom one v3 as well, where sigma_max stays
+    # the middle singular value, so the oracle for the axis is n . v2 = 0.
+    # The search is never handed sigma_2(T) or v2.
+    rng = np.random.default_rng(3003)
+    for _ in range(500):
+        random_state_nondegenerate_b((2, 2), rng)
+    for i in range(40):
+        rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
+        out = correlations._minimize_bob_basis(rho, DistanceKind.L1, _b_marginal_family(rho),
+                                               LIGHT, np.random.default_rng(i), [])
+        _, sv, vh = np.linalg.svd(pauli_decompose(rho).tmat)
+        assert out.converged, i
+        assert abs(out.value - sv[1]) <= 1e-9, i
+        v = out.x[:, 0]
+        cross = v[0] * np.conj(v[1])
+        axis = np.array([2.0 * cross.real, -2.0 * cross.imag, abs(v[0]) ** 2 - abs(v[1]) ** 2])
+        assert abs(axis @ vh[1]) <= 1e-6, i
 
 
 def test_sic_of_pure_states_is_the_b_entropy():
