@@ -33,8 +33,7 @@ Bob's chart of the average steered coherence at Alice's best basis, which
 is the B-side disturbance gradient of the classical-quantum state her
 measurement leaves (_danskin_objective). Each search draws all of its
 random starts in one call, which gives the same starts as one draw per
-start. Only protocols.ree_numeric still runs scipy's Powell
-(_multistart_minimize).
+start.
 """
 
 from __future__ import annotations
@@ -87,14 +86,13 @@ class ComparabilityWarning(UserWarning):
 class SearchBudget:
     """Evaluation budgets for the multistart searches.
 
-    starts / max_evals control the inner (Alice basis) maximization;
-    outer_starts / outer_evals the eigenbasis-family minimization;
-    refine_evals the light warm-started inner passes used while the outer
-    search explores. The Alice, disturbance and eigenbasis searches run the
-    in-library L-BFGS with all starts of a search in lockstep
-    (_lbfgs_lanes), so max_evals, refine_evals and outer_evals cap the
-    value+gradient calls of each start. protocols.ree_numeric runs Powell,
-    capped in value calls (max_evals).
+    starts / max_evals control the inner (Alice basis) maximization and
+    protocols.ree_numeric; outer_starts / outer_evals the eigenbasis-family
+    minimization; refine_evals the light warm-started inner passes used
+    while the outer search explores. Every search runs the in-library
+    L-BFGS with all starts of a search in lockstep (_lbfgs_lanes), so
+    max_evals, refine_evals and outer_evals cap the value+gradient calls of
+    each start.
     """
 
     starts: int = 32
@@ -662,25 +660,6 @@ def _lanes_search(fun, lanes: int, n: int, max_evals: int) -> _SearchOutcome:
     end = minimize(fun, np.zeros(lanes * n), method=_lbfgs_lanes,
                    options={"maxfun": int(max_evals), "lanes": lanes})
     return _SearchOutcome(float(end.fun), end.x, bool(end.success), end.nfev, end.run)
-
-
-def _multistart_minimize(runs, max_evals, xtol=1e-7, ftol=1e-11) -> _SearchOutcome:
-    """A Powell search from each (fn, x0) of runs, one after another, with
-    max_evals value calls, xtol and ftol; the best outcome. Each run is one
-    call of scipy's minimize. Only protocols.ree_numeric runs here; every
-    search of sic, b_side_mid and mid is one _lanes_search.
-    """
-    best = None
-    total = 0
-    for idx, (fn, x0) in enumerate(runs):
-        res = minimize(fn, np.asarray(x0, dtype=float), method="Powell",
-                       options={"maxfev": int(max_evals), "xtol": xtol, "ftol": ftol})
-        total += res.nfev
-        # ties broken by start order: strict < keeps the earliest
-        if best is None or res.fun < best.value:
-            best = _SearchOutcome(float(res.fun), np.asarray(res.x, dtype=float),
-                                  bool(res.success), 0, idx)
-    return best._replace(evals=total)
 
 
 def _negated(out):

@@ -27,6 +27,7 @@ from steercoh import (
     prepare_protocol_state,
     ree_numeric,
     regroup_dims,
+    relative_entropy,
     rho_x_finding,
     rho_x_state,
     steering_induced_entanglement,
@@ -37,7 +38,10 @@ from steercoh import (
     werner_state,
 )
 from steercoh import protocols
-from steercoh.sampling import random_hs_state, random_pure
+from steercoh.correlations import _binary_entropy, _lbfgs_lanes
+from steercoh.protocols import _ree_objective
+from steercoh.sampling import random_hs_state, random_pure, random_state_nondegenerate_b
+from test_correlations import _minimize_calls
 
 LIGHT = SearchBudget(starts=6, max_evals=500, outer_starts=4, outer_evals=300,
                      refine_evals=70)
@@ -286,6 +290,54 @@ def test_ree_never_negative_and_requires_two_qubits():
         ree_numeric(maximally_mixed((2, 3)))
 
 
+@pytest.mark.parametrize("p", [0.2, 1.0 / 3.0, 0.4, 0.5, 0.8, 0.95])
+def test_ree_matches_the_werner_closed_form(p):
+    # Vedral & Plenio: E_R = 1 - h((1 + 3p) / 4) above the separability
+    # threshold p = 1/3, zero below it
+    exact = 1.0 - _binary_entropy((1.0 + 3.0 * p) / 4.0) if p > 1.0 / 3.0 else 0.0
+    res = ree_numeric(werner_state(p), REE_LIGHT, seed=0)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-8
+
+
+def test_ree_matches_the_bell_diagonal_closed_form():
+    # E_R = 1 - h(lambda_max) when the largest Bell weight exceeds 1/2
+    rng = np.random.default_rng(1619)
+    for _ in range(20):
+        weights = rng.dirichlet(np.ones(4))
+        top = weights.max()
+        exact = 1.0 - _binary_entropy(top) if top > 0.5 else 0.0
+        res = ree_numeric(bell_diagonal_state(weights), REE_LIGHT, seed=0)
+        assert res.converged, weights
+        assert abs(res.value - exact) <= 1e-8, weights
+
+
+def test_ree_objective_value_and_gradient():
+    rng = np.random.default_rng(29)
+    rho = random_hs_state((2, 2), rng)
+    f = _ree_objective(rho)
+    rows = rng.normal(size=(7, 64))
+    values, grads, sigmas = f(rows)
+    for row, value, grad, sigma in zip(rows, values, grads, sigmas):
+        assert abs(value - relative_entropy(rho, DensityMatrix(sigma, (2, 2)))) <= 1e-12
+        # lockstep contract: a row makes the same evaluation alone as in the stack
+        alone = f(row)
+        assert alone[0][0] == value
+        assert np.array_equal(alone[1][0], grad)
+        assert np.array_equal(alone[2][0], sigma)
+    h = 1e-6
+    steps = h * np.eye(64)
+    central = (f(rows[0] + steps)[0] - f(rows[0] - steps)[0]) / (2.0 * h)
+    assert np.abs(central - grads[0]).max() <= 1e-6
+
+
+def test_ree_numeric_is_one_lockstep_search(monkeypatch):
+    # the same engine as every other search: one minimize call, a lane per start
+    calls = _minimize_calls(monkeypatch)
+    res = ree_numeric(werner_state(0.5), REE_LIGHT, seed=0)
+    assert [(c[2], c[3], c[5]) for c in calls] == [(_lbfgs_lanes, REE_LIGHT.starts, res.converged)]
+
+
 def test_steering_induced_entanglement_on_rho_x():
     rho = rho_x_state()
     avg, per = steering_induced_entanglement(rho, ProjectiveBasis.computational(2))
@@ -347,6 +399,18 @@ def test_verify_corollary1_mixed_input_uses_numeric_fallback():
     rep = verify_corollary1(rho, budget=SearchBudget(starts=4, max_evals=800), seed=0)
     assert rep.status == PASS
     assert any("informational" in line for line in rep.details)
+
+
+def test_verify_corollary1_converges_on_mixed_inputs():
+    # every mixed steered BC state runs the numerical REE search, and each
+    # one must end converged
+    rng = np.random.default_rng(1515)
+    for dims in [(2, 2)] * 5 + [(3, 2)] * 5:
+        rho = random_state_nondegenerate_b(dims, rng)
+        rep = verify_corollary1(rho, budget=SearchBudget(4, 300), seed=0)
+        assert rep.status == PASS
+        assert rep.converged, dims
+        assert any("informational" in line for line in rep.details)
 
 
 def test_verify_corollary1_steers_the_protocol_state_once(monkeypatch):
