@@ -31,9 +31,10 @@ same chart on each degenerate block of Bob's eigenbasis, of Alice's best
 value. It runs the same L-BFGS on the Danskin gradient: the gradient in
 Bob's chart of the average steered coherence at Alice's best basis, which
 is the B-side disturbance gradient of the classical-quantum state her
-measurement leaves (_danskin_objective). Each search draws all of its
-random starts in one call, which gives the same starts as one draw per
-start.
+measurement leaves (_danskin_objective); for l1 with a qubit Bob, on
+Alice's best value itself, the B-side trace-norm disturbance (twoqubit).
+Each search draws all of its random starts in one call, which gives the
+same starts as one draw per start.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .sampling import (
     random_state_nondegenerate_b,
     random_stinespring_kraus,
 )
-from .twoqubit import _pauli_coefficients
+from .twoqubit import _pauli_coefficients, _steered_l1_witness
 
 # Eigenvalues closer than this are treated as degenerate, activating the
 # eigenbasis-family optimization.
@@ -955,36 +956,6 @@ def _danskin_objective(rho: DensityMatrix, alice: np.ndarray, fam: EigenbasisFam
     return _disturbance_objective(sigma, None, fam, kind)
 
 
-def _exact_inner_l1_2q(rho: DensityMatrix):
-    """Exact inner maximum for two qubits, as a function of Bob's basis.
-
-    The averaged steered l1 coherence at Alice direction u and Bob's
-    reference axis n is |(1 - n n^t) T^t u| whenever n is parallel to b, so
-    on any eigenbasis of rho_B (every basis when rho_B is maximally mixed)
-    the maximum over u is twoqubit._max_steered_l1(T, n), reached at the
-    top right singular vector u of (1 - n n^t) T^t. Returns bob ->
-    (maximum, Alice's maximising unitary, kets as columns: the kets with
-    Bloch vectors +-u). Used only to steer the outer search; the returned
-    witness value always comes from the generic path.
-    """
-    tmat = _pauli_coefficients(rho.data)[1:, 1:]
-
-    def inner(bob: np.ndarray):
-        v = bob[:, 0]
-        rho01 = v[0] * np.conj(v[1])
-        n = np.array([2.0 * rho01.real, -2.0 * rho01.imag,
-                      abs(v[0]) ** 2 - abs(v[1]) ** 2])
-        _, s, vh = np.linalg.svd((np.eye(3) - np.outer(n, n)) @ tmat.T)
-        # the sign of u only swaps the kets; this one keeps 1 + u_z >= 1
-        ux, uy, uz = vh[0] if vh[0, 2] >= 0.0 else -vh[0]
-        a, b = 1.0 + uz, ux + 1j * uy
-        ket = np.array([a, b]) / math.sqrt(2.0 * a)
-        return float(s[0]), np.array([[ket[0], -ket[1].conjugate()],
-                                      [ket[1], ket[0].conjugate()]])
-
-    return inner
-
-
 def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisFamily,
                         budget: SearchBudget, rng: np.random.Generator,
                         warm: list) -> _SearchOutcome:
@@ -997,28 +968,34 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     One lockstep L-BFGS (_lanes_search) runs outer_starts lanes. Each lane
     re-centres `fam` on its own member (the base eigenbasis, then seeded
     Gaussian draws) and searches from phi = 0, as _minimize_disturbance
-    does. At each point Alice's best basis comes from a light pass (the
-    lane's witness at the last point it evaluated, the identity and one
-    fixed Haar frame, refine_evals calls each), or from the exact inner
-    maximum for l1 on two qubits; value and gradient are those of
-    _danskin_objective at that witness. Each lane keeps the witness of
-    every point it evaluates.
+    does. For l1 with a qubit Bob, each lane runs Alice's best value itself,
+    the B-side trace-norm disturbance 2 ||C||_1 (twoqubit), and `warm` gets
+    W's eigenbasis. Otherwise, at each point Alice's best basis comes from a
+    light pass (the lane's witness at the last point it evaluated, the
+    identity and one fixed Haar frame, refine_evals calls each); value and
+    gradient are those of _danskin_objective at that witness. Each lane
+    keeps the witness of every point it evaluates.
     """
     if fam.is_trivial:
         return _SearchOutcome(math.inf, fam.base.matrix, True, 0, 0)
     da = rho.dims[0]
+    # drawn on every path, so sic's later Alice starts do not depend on it
     frames = [np.eye(da, dtype=complex), haar_unitary(da, rng)]
     fams = [fam, *(fam.centred(x) for x in rng.normal(
         scale=1.2, size=(max(budget.outer_starts - 1, 0), fam.n_params)))]
-    exact_inner = None
-    if kind is DistanceKind.L1 and rho.dims == (2, 2):
-        exact_inner = _exact_inner_l1_2q(rho)
+    if kind is DistanceKind.L1 and rho.dims[1] == 2:
+        fun = _lanes_of([_disturbance_objective(rho, None, f, DistanceKind.TRACE_NORM)
+                         for f in fams])
+        # the qualname perfbench/tracer.py classes as an eigenbasis search
+        res = _lanes_search(_named(fun, f"{_minimize_bob_basis.__qualname__}.<locals>.outer_obj"),
+                            len(fams), fam.n_params, budget.outer_evals)
+        bob = fams[res.run]._columns(res.x)
+        warm[:] = [_steered_l1_witness(rho.data, da, bob)]
+        return res._replace(x=bob)
     witnesses = [{} for _ in fams]  # per lane: point -> Alice's witness there
     last = [[] for _ in fams]  # per lane: the witness at its last point
 
     def inner_light(bob: np.ndarray, lane: int) -> np.ndarray:
-        if exact_inner is not None:
-            return exact_inner(bob)[1]
         return _search_frames(rho, [*last[lane], *frames], bob, kind, budget.refine_evals,
                               inner_light.__qualname__).x
 

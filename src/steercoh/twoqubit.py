@@ -1,23 +1,21 @@
-"""Two-qubit closed form for the l1 steered coherence.
+"""Closed form for the l1 steered coherence of a qubit Bob, and the
+two-qubit Pauli expansion.
 
-A two-qubit state is handled through its Pauli expansion
+Let Bob's qubit basis be (b0, b1) and C = <b0|rho|b1>, a d_A x d_A block.
+Alice's outcome e steers an unnormalised l1 coherence 2 |<e|C|e>| into
+Bob's basis, so her basis {e_i} steers sum_i 2 |<e_i|C|e_i>| on average.
+Its maximum over her bases is 2 ||C||_1 (von Neumann's trace inequality;
+Horn & Johnson, Matrix Analysis, 7.4): with C = U S V^dag, W = V U^dag is
+unitary with tr(C W) = ||C||_1, and on W's eigenbasis sum_i w_i
+<e_i|C|e_i> = tr(C W). rho - Delta_B rho has the off-diagonal blocks C and
+C^dag, so the B-side trace-norm disturbance in Bob's basis is 2 ||C||_1
+too. At Bob's eigenbasis this is the closed form.
 
-    rho = (1/4) sum_ij Theta_ij sigma_i (x) sigma_j,   Theta_00 = 1,
-
-with local Bloch vectors a = Theta[1:, 0], b = Theta[0, 1:] and correlation
-matrix T = Theta[1:, 1:]. When Alice measures along the Bloch direction u,
-Bob is steered to (b +- T^t u) / (1 +- a.u) with probabilities
-(1 +- a.u) / 2, and the l1 coherence of a qubit in the basis with axis n is
-the length of its Bloch vector orthogonal to n. For n parallel to b, or any
-n when b = 0, the local term cancels and the average steered coherence is
-|(1 - n n^t) T^t u|, whose maximum over u is
-
-    sigma_max(T (1 - n n^t)).
-
-Bob's eigenbasis has n = b/|b| for b != 0, which gives the closed form. For
-b = 0 every basis is an eigenbasis, and the minimum over n of
-sigma_max(T (1 - n n^t)) is the middle singular value sigma_2(T) by
-interlacing, attained at the top right singular vector.
+For two qubits (rho = (1/4) sum_ij Theta_ij sigma_i (x) sigma_j, b =
+Theta[0, 1:], T = Theta[1:, 1:]) it is sigma_max(T (1 - n n^t)) at n =
+b/|b|. When b = 0 every basis is an eigenbasis, and the minimum over n is
+the middle singular value sigma_2(T) by interlacing, attained at the top
+right singular vector.
 
 The paper states the b != 0 value in a canonical frame (b along +z,
 T11 = T12 = T21 = 0) as the radical
@@ -28,7 +26,7 @@ T11 = T12 = T21 = 0) as the radical
 It is the same number. With n = z the projected matrix keeps only
 K = T[:, :2], and the radical is the square root of the top eigenvalue of
 K^t K, (tr + sqrt(tr^2 - 4 det)) / 2 with tr = T22^2 + T31^2 + T32^2 and
-det = T22^2 T31^2. The singular value needs no frame, and it keeps full
+det = T22^2 T31^2. The singular values need no frame, and they keep full
 precision where the two singular values of K meet; there the radical's
 inner root amplifies the rounding of its cancelling terms.
 """
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DistanceKind
-from .qkernel import DensityMatrix
+from .qkernel import DensityMatrix, eig_hermitian, partial_trace
 from .report import FAIL, PASS, VerificationReport
 
 PAULI = (
@@ -55,8 +53,8 @@ PAULI = (
 _THETA_TABLE = np.array([np.kron(p, q).T.reshape(16) for p in PAULI for q in PAULI])
 _THETA_TABLE.flags.writeable = False
 
-# Bloch vectors shorter than this are treated as zero, switching the closed
-# form to its degenerate branch.
+# A B marginal whose eigengap (|b| for two qubits) is below this is treated
+# as degenerate, switching the closed form to its degenerate branch.
 BLOCH_DEGENERATE = 1e-8
 
 
@@ -103,30 +101,43 @@ def reconstruct(theta: PauliTheta) -> DensityMatrix:
     return DensityMatrix(acc.reshape(4, 4) / 4.0, (2, 2))
 
 
-def _max_steered_l1(tmat: np.ndarray, n: np.ndarray) -> float:
-    """sigma_max(T (1 - n n^t)): the maximum over Alice's Bloch directions u
-    of the average steered l1 coherence |(1 - n n^t) T^t u| at Bob's unit
-    reference axis n, exact when n is parallel to b or b = 0."""
-    proj = np.eye(3) - np.outer(n, n)
-    return float(np.linalg.svd(proj @ tmat.T, compute_uv=False)[0])
+def _steered_l1_block(data: np.ndarray, da: int, bob: np.ndarray) -> np.ndarray:
+    """C = <b0|rho|b1> for the d_A x 2 state `data` and Bob's basis `bob`
+    (kets as columns)."""
+    return bob[:, 0].conj() @ (data.reshape(da, 2, da, 2) @ bob[:, 1])
+
+
+def _steered_l1_witness(data: np.ndarray, da: int, bob: np.ndarray) -> np.ndarray:
+    """Alice's basis reaching 2 ||C||_1 against Bob's basis `bob` (kets as
+    columns): W's eigenbasis, made orthonormal by QR where eig leaves
+    repeated eigenvalues' kets skewed."""
+    u, _, vh = np.linalg.svd(_steered_l1_block(data, da, bob))
+    return np.linalg.qr(np.linalg.eig(vh.conj().T @ u.conj().T)[1])[0]
+
+
+def _bob_eigenbasis_block(rho: DensityMatrix):
+    """rho_B's eigengap and C's singular values at Bob's eigenbasis."""
+    if rho.n_subsystems != 2 or rho.dims[1] != 2:
+        raise ValueError("the l1 closed form expects a d_A x 2 state (Bob a qubit)")
+    w, v = eig_hermitian(partial_trace(rho, [1]).data)
+    return w[1] - w[0], np.linalg.svd(_steered_l1_block(rho.data, rho.dims[0], v),
+                                      compute_uv=False)
 
 
 def sic_l1_closed(rho: DensityMatrix) -> float:
-    """Closed-form l1 steering value of an arbitrary two-qubit state:
-    sigma_max(T (1 - n n^t)) at n = b/|b|, or sigma_2(T) when b vanishes."""
-    if rho.dims != (2, 2):
-        raise ValueError("sic_l1_closed expects a two-qubit state")
-    theta = _pauli_coefficients(rho.data)
-    tmat, b = theta[1:, 1:], theta[0, 1:]
-    bnorm = np.linalg.norm(b)
-    if bnorm < BLOCH_DEGENERATE:
-        return float(np.linalg.svd(tmat, compute_uv=False)[1])
-    return _max_steered_l1(tmat, b / bnorm)
+    """Closed-form l1 steering value of a d_A x 2 state: 2 ||C||_1 at Bob's
+    eigenbasis, or sigma_2(T) for two qubits with rho_B = I/2."""
+    gap, svals = _bob_eigenbasis_block(rho)
+    if gap >= BLOCH_DEGENERATE:
+        return 2.0 * float(svals.sum())
+    if rho.dims[0] != 2:
+        raise ValueError("the l1 closed form needs a simple B marginal unless d_A = 2")
+    return float(np.linalg.svd(_pauli_coefficients(rho.data)[1:, 1:], compute_uv=False)[1])
 
 
 def verify_theorem3(rho: DensityMatrix, budget=None, seed: int = 0) -> VerificationReport:
-    """Three-way check of the two-qubit closed form against the numerical
-    l1 steering value and the trace-norm disturbance."""
+    """Three-way check of the l1 closed form of a d_A x 2 state against the
+    numerical l1 steering value and the trace-norm disturbance."""
     from .correlations import b_side_mid, sic
 
     closed = sic_l1_closed(rho)
@@ -138,8 +149,8 @@ def verify_theorem3(rho: DensityMatrix, budget=None, seed: int = 0) -> Verificat
     details = [f"closed={closed:.10f}", f"numeric_sic={res.value:.10f}",
                f"numeric_mid_t={q_t:.10f}"]
     if status == FAIL:
-        flat = np.round(pauli_decompose(rho).theta, 12).tolist()
-        details.append(f"theta={flat}")
+        svals = np.round(_bob_eigenbasis_block(rho)[1], 12).tolist()
+        details.append(f"singular_values_C={svals}")
     return VerificationReport(
         theorem="two_qubit_closed_form",
         kind="l1",

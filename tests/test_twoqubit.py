@@ -1,11 +1,14 @@
 """Pauli expansion and the closed-form steering value."""
 
+import ast
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from steercoh import (
     DensityMatrix,
+    FAIL,
     InvalidStateError,
     PASS,
     PauliTheta,
@@ -22,6 +25,7 @@ from steercoh import (
     verify_theorem3,
     werner_state,
 )
+from steercoh import twoqubit
 from steercoh.sampling import (
     haar_unitary,
     random_hs_state,
@@ -140,13 +144,48 @@ def test_closed_form_frozen_values():
 def test_closed_form_invariant_under_local_unitaries():
     rng = np.random.default_rng(8)
     states = [random_hs_state((2, 2), rng), random_pure((2, 2), rng),
-              bell_diagonal_state([0.45, 0.3, 0.15, 0.1])]
+              bell_diagonal_state([0.45, 0.3, 0.15, 0.1]),
+              random_hs_state((3, 2), rng), random_hs_state((4, 2), rng)]
     for rho in states:
         base = sic_l1_closed(rho)
         for _ in range(3):
-            u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-            rotated = DensityMatrix(u @ rho.data @ u.conj().T, (2, 2))
+            u = np.kron(haar_unitary(rho.dims[0], rng), haar_unitary(2, rng))
+            rotated = DensityMatrix(u @ rho.data @ u.conj().T, rho.dims)
             assert np.isclose(sic_l1_closed(rotated), base, atol=1e-9)
+
+
+def test_closed_form_is_the_bloch_singular_value_on_two_qubits():
+    # sigma_max(T (1 - n n^t)) at Bob's Bloch axis n = b / |b|
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        rho = random_hs_state((2, 2), rng) if i % 2 else random_state_nondegenerate_b((2, 2), rng)
+        th = pauli_decompose(rho)
+        n = th.b / np.linalg.norm(th.b)
+        ref = np.linalg.svd(th.tmat @ (np.eye(3) - np.outer(n, n)), compute_uv=False)[0]
+        assert abs(sic_l1_closed(rho) - ref) <= 1e-14, i
+
+
+def test_closed_form_matches_the_search_beyond_two_qubits():
+    # 2 ||C||_1 at Bob's eigenbasis, for d_A x 2 states with a simple marginal
+    rng = np.random.default_rng(42)
+    budget = SearchBudget(starts=8, max_evals=2000)
+    for da in (3, 4, 5):
+        for i in range(3):
+            rho = random_state_nondegenerate_b((da, 2), rng)
+            res = sic(rho, "l1", budget, seed=i)
+            assert res.converged, (da, i)
+            assert abs(sic_l1_closed(rho) - res.value) <= 1e-10, (da, i)
+
+
+def test_closed_form_rejects_states_it_does_not_cover():
+    rng = np.random.default_rng(43)
+    with pytest.raises(ValueError, match="Bob a qubit"):
+        sic_l1_closed(random_state_nondegenerate_b((2, 3), rng))
+    # rho_B = I/2 beyond two qubits: the minimum over Bob's bases has no
+    # closed form here
+    rho = DensityMatrix(np.kron(random_hs_state((3,), rng).data, np.eye(2) / 2.0), (3, 2))
+    with pytest.raises(ValueError, match="simple B marginal"):
+        sic_l1_closed(rho)
 
 
 def test_branch_continuity_near_vanishing_b():
@@ -181,3 +220,19 @@ def test_verify_theorem3_on_bell_diagonal_state():
     rep = verify_theorem3(rho, LIGHT, seed=0)
     assert rep.status == PASS
     assert rep.converged
+
+
+def test_verify_theorem3_on_a_qutrit_alice(monkeypatch):
+    # the three-way check runs on d_A x 2 states, and a FAIL reports C's
+    # singular values at Bob's eigenbasis, which need no Pauli expansion
+    rho = random_state_nondegenerate_b((3, 2), np.random.default_rng(44))
+    rep = verify_theorem3(rho, LIGHT, seed=0)
+    assert rep.status == PASS and rep.converged
+    closed = sic_l1_closed(rho)
+    monkeypatch.setattr(twoqubit, "sic_l1_closed", lambda state: closed + 1e-3)
+    rep = verify_theorem3(rho, LIGHT, seed=0)
+    assert rep.status == FAIL
+    svals = [d for d in rep.details if d.startswith("singular_values_C=")]
+    assert len(svals) == 1
+    values = ast.literal_eval(svals[0].split("=", 1)[1])
+    assert len(values) == 3 and abs(2.0 * sum(values) - closed) <= 1e-10
