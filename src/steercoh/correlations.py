@@ -9,7 +9,7 @@ The two headline quantities for a bipartite state rho_AB:
 
 Both are optima over bases, and every search runs over bases directly.
 Each start is a frame U0 (kets as columns), and a local search moves in
-the chart U0 @ exp(i sum_k x_k G_k) from x = 0, where the G_k are the
+the chart U0 @ exp(i sum_k x_k G_k) (_chart) from x = 0, where the G_k are the
 d*d - d off-diagonal generalized Gell-Mann matrices: one coordinate per
 direction of the set of bases, none that only rephases a ket. Alice's
 starts are the identity, the Fourier basis and Haar-random frames. Both
@@ -23,16 +23,17 @@ search), and each start makes the run it would make alone. Each round
 hands the objective the pending points of the running starts as lists of
 floats. On dims other than 2x2 an Alice search evaluates them in one call
 of the general objective over the stacked frames; the two-qubit Bloch
-objective and the disturbance objective are one function per start, called
-one after another (_lanes_of). Each disturbance start re-centres the
-eigenbasis charts on its own frame.
-A degenerate B marginal makes sic a minimax: an outer minimization over the
-same chart on each degenerate block of Bob's eigenbasis, of Alice's best
-value. It runs the same L-BFGS on the Danskin gradient: the gradient in
-Bob's chart of the average steered coherence at Alice's best basis, which
-is the B-side disturbance gradient of the classical-quantum state her
-measurement leaves (_danskin_objective); for l1 with a qubit Bob, on
-Alice's best value itself, the B-side trace-norm disturbance (twoqubit).
+objective and the eigenbasis objectives are one function per start, called
+one after another (_lanes_of).
+Every search over eigenbases is one lockstep search (_minimize_eigenbases)
+whose starts re-centre the charts on their own frames; its callers differ
+only in the objective. b_side_mid and mid minimize the disturbance. A
+degenerate B marginal makes sic a minimax, whose outer search minimizes
+Alice's best value: for l1 with a qubit Bob, that value itself, the B-side
+trace-norm disturbance (twoqubit); otherwise the Danskin objective, the
+average steered coherence at the witness of a light Alice pass, with the
+B-side disturbance gradient of the state her measurement leaves
+(_danskin_objective).
 Each search draws all of its random starts in one call, which gives the
 same starts as one draw per start.
 """
@@ -127,24 +128,26 @@ def _offdiagonal_generators(d: int) -> np.ndarray:
     return out
 
 
-def _chart_eigh(d: int, x: np.ndarray):
-    """eigh of sum_k x_k G_k over the off-diagonal generators: the (w, v)
-    that _chart_unitary exponentiates and _chart_pullback differentiates."""
-    return np.linalg.eigh((x @ _offdiagonal_generators(d)).reshape(d, d))
+def _chart(d: int, x):
+    """exp(i H), H = sum_k x_k G_k over the off-diagonal generators, as (u,
+    w, v): the unitary and the eigh (w, v) of H that _chart_pullback
+    differentiates; leading axes of x stack charts. A basis search centred
+    on a frame U0 (kets as columns) visits U0 @ u from x = 0; the d*d - d
+    coordinates leave no direction that only moves the phases of the
+    kets."""
+    x = np.asarray(x)
+    w, v = np.linalg.eigh((x @ _offdiagonal_generators(d)).reshape(*x.shape[:-1], d, d))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
 
 
-def _chart_unitary(d: int, x: np.ndarray) -> np.ndarray:
-    """exp(i sum_k x_k G_k) over the off-diagonal generators. A basis search
-    centred on a frame U0 (kets as columns) visits U0 @ _chart_unitary(d, x)
-    from x = 0; the d*d - d coordinates leave no direction that only moves
-    the phases of the kets."""
-    w, v = _chart_eigh(d, x)
-    return (v * np.exp(1j * w)) @ v.conj().T
+def _chart_unitary(d: int, x) -> np.ndarray:
+    """The unitary of _chart(d, x)."""
+    return _chart(d, x)[0]
 
 
 def _chart_pullback(hw: np.ndarray, hv: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
     """Gradient in the chart coordinates x, given the chart's eigh (hw, hv)
-    = _chart_eigh(d, x) and the gradient grad_u in the unitary u (df = Re
+    of _chart(d, x) and the gradient grad_u in the unitary u (df = Re
     tr(grad_u^dag du)); leading axes of all three are a stack of charts.
 
     Daleckii-Krein: d exp(iH) = V (phi o V^dag dH V) V^dag, where
@@ -240,8 +243,8 @@ class EigenbasisFamily:
             n = m * m - m
             idx = slice(blk[0], blk[-1] + 1)  # clusters are runs of sorted eigenvalues
             frame = cols[:, idx].copy()  # a view would see the rotated columns
-            hw, hv = _chart_eigh(m, params[off:off + n])
-            cols[:, idx] = frame @ ((hv * np.exp(1j * hw)) @ hv.conj().T)
+            u, hw, hv = _chart(m, params[off:off + n])
+            cols[:, idx] = frame @ u
             charts.append((slice(off, off + n), idx, frame, hw, hv))
             off += n
 
@@ -395,13 +398,10 @@ def _objective_general(sig: np.ndarray, da: int, db: int, kind: DistanceKind):
         -1, da * da, db * db)
     diag = slice(None, None, db + 1)  # diagonal of a flattened db x db block
     is_l1 = kind is DistanceKind.L1
-    gens = _offdiagonal_generators(da)
 
     def lanes_f(points, lanes=None):
         amat = amats if lanes is None else amats[lanes]
-        # _chart_unitary(da, x) per lane, keeping its eigh for the gradient
-        hw, hv = np.linalg.eigh((np.asarray(points) @ gens).reshape(-1, da, da))
-        u = (hv * np.exp(1j * hw)[:, None, :]) @ hv.conj().swapaxes(-1, -2)
+        u, hw, hv = _chart(da, points)
         w = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(-1, da * da, da)
         # row i of a lane is outcome i's unnormalised steered state, flattened
         m = w.swapaxes(-1, -2) @ amat
@@ -787,35 +787,35 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     return obj
 
 
-def _minimize_disturbance(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
-                          fam_b: EigenbasisFamily, kind: DistanceKind,
-                          budget: SearchBudget, seed: int):
-    """Minimum of _disturbance_objective over the families' charts, as
-    (outcome, fam_a, fam_b) with the families of the winning start, in whose
-    charts the outcome's x lies.
+def _minimize_eigenbases(objective, fam_a: EigenbasisFamily | None, fam_b: EigenbasisFamily,
+                         budget: SearchBudget, seed):
+    """Minimum over the families' charts of the per-start objectives
+    objective(fa, fb) (each phi -> (value, gradient), phi = (fa params, fb
+    params)), as (outcome, fa, fb) with the families of the winning start,
+    in whose charts the outcome's x lies. seed is an int or a Generator.
 
     Each start is a frame: the families re-centred on their members at the
     start point (the origin, then seeded Gaussian draws), searched by the
-    L-BFGS from phi = 0, every start a lane of one lockstep search. A
-    chart maps the whole sphere |x| = pi / sqrt(2) of each 2-fold block
-    back onto its centre with the kets swapped; when the centre is a saddle
-    that sphere attracts, so every start sharing one chart can stop there,
-    stationary but not minimal.
+    L-BFGS from phi = 0, every start a lane of one lockstep search, built in
+    frame order. A chart maps the whole sphere |x| = pi / sqrt(2) of each
+    2-fold block back onto its centre with the kets swapped; when the centre
+    is a saddle that sphere attracts, so every start sharing one chart can
+    stop there, stationary but not minimal.
     """
     na = 0 if fam_a is None else fam_a.n_params
     n = na + fam_b.n_params
     if n == 0:
-        value, _ = _disturbance_objective(rho, fam_a, fam_b, kind)(np.zeros(0))
+        value, _ = objective(fam_a, fam_b)(np.zeros(0))
         return _SearchOutcome(value, np.zeros(0), True, 1, 0), fam_a, fam_b
     rng = np.random.default_rng(seed)
     frames = [(fam_a, fam_b)]
     for x in rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), n)):
         frames.append((None if fam_a is None else fam_a.centred(x[:na]),
                        fam_b.centred(x[na:])))
-    fun = _lanes_of([_disturbance_objective(rho, fa, fb, kind) for fa, fb in frames])
+    fun = _lanes_of([objective(fa, fb) for fa, fb in frames])
     # perfbench/tracer.py classes a search whose objective's qualname ends in
     # .obj as an eigenbasis search
-    res = _lanes_search(_named(fun, f"{_minimize_disturbance.__qualname__}.<locals>.obj"),
+    res = _lanes_search(_named(fun, f"{_minimize_eigenbases.__qualname__}.<locals>.obj"),
                         len(frames), n, budget.outer_evals)
     return (res, *frames[res.run])
 
@@ -841,8 +841,9 @@ class MidResult(NamedTuple):
 def b_side_mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                        seed: int = 0) -> MidResult:
     kind = _check_mid_args(rho, kind, "b_side_mid")
-    res, _, fam = _minimize_disturbance(rho, None, _b_marginal_family(rho), kind,
-                                        budget or DEFAULT_BUDGET, seed)
+    res, _, fam = _minimize_eigenbases(
+        lambda fa, fb: _disturbance_objective(rho, fa, fb, kind),
+        None, _b_marginal_family(rho), budget or DEFAULT_BUDGET, seed)
     return MidResult(res.value, fam.member(res.x), res.converged)
 
 
@@ -863,9 +864,10 @@ class MidJointResult(NamedTuple):
 def mid_detail(rho: DensityMatrix, kind, budget: SearchBudget | None = None,
                seed: int = 0) -> MidJointResult:
     kind = _check_mid_args(rho, kind, "mid")
-    res, fam_a, fam_b = _minimize_disturbance(
-        rho, EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data),
-        _b_marginal_family(rho), kind, budget or DEFAULT_BUDGET, seed)
+    res, fam_a, fam_b = _minimize_eigenbases(
+        lambda fa, fb: _disturbance_objective(rho, fa, fb, kind),
+        EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data),
+        _b_marginal_family(rho), budget or DEFAULT_BUDGET, seed)
     na = fam_a.n_params
     return MidJointResult(res.value, fam_a.member(res.x[:na]),
                           fam_b.member(res.x[na:]), res.converged)
@@ -965,54 +967,50 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     Alice's witness there. A simple marginal has nothing to search: its
     outcome is the base eigenbasis with value +inf, converged.
 
-    One lockstep L-BFGS (_lanes_search) runs outer_starts lanes. Each lane
-    re-centres `fam` on its own member (the base eigenbasis, then seeded
-    Gaussian draws) and searches from phi = 0, as _minimize_disturbance
-    does. For l1 with a qubit Bob, each lane runs Alice's best value itself,
-    the B-side trace-norm disturbance 2 ||C||_1 (twoqubit), and `warm` gets
-    W's eigenbasis. Otherwise, at each point Alice's best basis comes from a
-    light pass (the lane's witness at the last point it evaluated, the
-    identity and one fixed Haar frame, refine_evals calls each); value and
-    gradient are those of _danskin_objective at that witness. Each lane
-    keeps the witness of every point it evaluates.
+    It is the eigenbasis search of b_side_mid (_minimize_eigenbases, drawing
+    its starts from rng), on another per-start objective. For l1 with a
+    qubit Bob that objective is Alice's best value itself, the B-side
+    trace-norm disturbance 2 ||C||_1 (twoqubit), and `warm` gets W's
+    eigenbasis. Otherwise it is the Danskin objective: at each point Alice's
+    best basis comes from a light pass (the lane's witness at the last point
+    it evaluated, the identity and one fixed Haar frame, refine_evals calls
+    each), and value and gradient are those of _danskin_objective at that
+    witness. Each lane keeps the witness of every point it evaluates.
     """
     if fam.is_trivial:
         return _SearchOutcome(math.inf, fam.base.matrix, True, 0, 0)
     da = rho.dims[0]
     # drawn on every path, so sic's later Alice starts do not depend on it
     frames = [np.eye(da, dtype=complex), haar_unitary(da, rng)]
-    fams = [fam, *(fam.centred(x) for x in rng.normal(
-        scale=1.2, size=(max(budget.outer_starts - 1, 0), fam.n_params)))]
     if kind is DistanceKind.L1 and rho.dims[1] == 2:
-        fun = _lanes_of([_disturbance_objective(rho, None, f, DistanceKind.TRACE_NORM)
-                         for f in fams])
-        # the qualname perfbench/tracer.py classes as an eigenbasis search
-        res = _lanes_search(_named(fun, f"{_minimize_bob_basis.__qualname__}.<locals>.outer_obj"),
-                            len(fams), fam.n_params, budget.outer_evals)
-        bob = fams[res.run]._columns(res.x)
+        res, _, f = _minimize_eigenbases(
+            lambda _, fb: _disturbance_objective(rho, None, fb, DistanceKind.TRACE_NORM),
+            None, fam, budget, rng)
+        bob = f._columns(res.x)
         warm[:] = [_steered_l1_witness(rho.data, da, bob)]
         return res._replace(x=bob)
-    witnesses = [{} for _ in fams]  # per lane: point -> Alice's witness there
-    last = [[] for _ in fams]  # per lane: the witness at its last point
+    light = f"{_minimize_bob_basis.__qualname__}.<locals>.inner_light"
+    # per lane, in frame order: (point, value) -> Alice's witness there; a
+    # point evaluated twice can get another witness and value
+    witnesses = []
 
-    def inner_light(bob: np.ndarray, lane: int) -> np.ndarray:
-        return _search_frames(rho, [*last[lane], *frames], bob, kind, budget.refine_evals,
-                              inner_light.__qualname__).x
+    def lane(_, f):
+        seen, last = {}, []
+        witnesses.append(seen)
 
-    def outer_obj(points, idx):
-        out = []
-        for j, x in zip(idx, points):
-            phi = np.array(x)
-            alice = inner_light(fams[j]._columns(phi), j)
-            last[j] = [alice]
-            witnesses[j][tuple(x)] = alice
-            value, grad = _danskin_objective(rho, alice, fams[j], kind)(phi)
-            out.append((value, grad.tolist()))
-        return out
+        def obj(phi):
+            alice = _search_frames(rho, [*last, *frames], f._columns(phi), kind,
+                                   budget.refine_evals, light).x
+            last[:] = [alice]
+            value, grad = _danskin_objective(rho, alice, f, kind)(phi)
+            seen[tuple(phi), value] = alice
+            return value, grad
 
-    res = _lanes_search(outer_obj, len(fams), fam.n_params, budget.outer_evals)
-    warm[:] = [witnesses[res.run][tuple(res.x.tolist())]]
-    return res._replace(x=fams[res.run]._columns(res.x))
+        return obj
+
+    res, _, f = _minimize_eigenbases(lane, None, fam, budget, rng)
+    warm[:] = [witnesses[res.run][tuple(res.x.tolist()), res.value]]
+    return res._replace(x=f._columns(res.x))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DistanceKind
-from .qkernel import DensityMatrix, eig_hermitian, partial_trace
+from .qkernel import DensityMatrix
 from .report import FAIL, PASS, VerificationReport
 
 PAULI = (
@@ -52,10 +52,6 @@ PAULI = (
 # flattened 4x4 matrix X, i.e. kron(PAULI[i], PAULI[j]).T flattened.
 _THETA_TABLE = np.array([np.kron(p, q).T.reshape(16) for p in PAULI for q in PAULI])
 _THETA_TABLE.flags.writeable = False
-
-# A B marginal whose eigengap (|b| for two qubits) is below this is treated
-# as degenerate, switching the closed form to its degenerate branch.
-BLOCH_DEGENERATE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,19 +112,21 @@ def _steered_l1_witness(data: np.ndarray, da: int, bob: np.ndarray) -> np.ndarra
 
 
 def _bob_eigenbasis_block(rho: DensityMatrix):
-    """rho_B's eigengap and C's singular values at Bob's eigenbasis."""
+    """rho_B's EigenbasisFamily and C's singular values at its base."""
+    from .correlations import _b_marginal_family
+
     if rho.n_subsystems != 2 or rho.dims[1] != 2:
         raise ValueError("the l1 closed form expects a d_A x 2 state (Bob a qubit)")
-    w, v = eig_hermitian(partial_trace(rho, [1]).data)
-    return w[1] - w[0], np.linalg.svd(_steered_l1_block(rho.data, rho.dims[0], v),
-                                      compute_uv=False)
+    fam = _b_marginal_family(rho)
+    return fam, np.linalg.svd(_steered_l1_block(rho.data, rho.dims[0], fam.base.matrix),
+                              compute_uv=False)
 
 
 def sic_l1_closed(rho: DensityMatrix) -> float:
     """Closed-form l1 steering value of a d_A x 2 state: 2 ||C||_1 at Bob's
     eigenbasis, or sigma_2(T) for two qubits with rho_B = I/2."""
-    gap, svals = _bob_eigenbasis_block(rho)
-    if gap >= BLOCH_DEGENERATE:
+    fam, svals = _bob_eigenbasis_block(rho)
+    if fam.is_trivial:
         return 2.0 * float(svals.sum())
     if rho.dims[0] != 2:
         raise ValueError("the l1 closed form needs a simple B marginal unless d_A = 2")

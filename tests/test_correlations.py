@@ -5,6 +5,7 @@ import math
 import operator
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from steercoh import correlations
 from steercoh.correlations import (
     _b_marginal_family,
     _binary_entropy,
+    _chart,
     _chart_unitary,
     _danskin_objective,
     _disturbance_objective,
@@ -106,6 +108,17 @@ def test_chart_realizes_unitaries():
         for _ in range(5):
             u = _chart_unitary(d, rng.normal(scale=1.2, size=d * d - d))
             assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+
+
+def test_stacked_chart_rows_are_the_single_point_charts():
+    # the lockstep contract: a lane's bits do not depend on its batch
+    rng = np.random.default_rng(32)
+    for d in (2, 3, 4):
+        xs = rng.normal(scale=1.2, size=(5, d * d - d))
+        stacked = _chart(d, xs)
+        for j, x in enumerate(xs):
+            for many, one in zip(stacked, _chart(d, x)):
+                assert np.array_equal(many[j], one), d
 
 
 def _projectors(u: np.ndarray) -> np.ndarray:
@@ -737,7 +750,9 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
     for kind in (DistanceKind.RELATIVE_ENTROPY, DistanceKind.TRACE_NORM):
         made.clear()
         lanes.clear()
-        out, _, _ = correlations._minimize_disturbance(rho, fam_a, fam_b, kind, budget, 31)
+        out, _, _ = correlations._minimize_eigenbases(
+            lambda fa, fb: correlations._disturbance_objective(rho, fa, fb, kind),
+            fam_a, fam_b, budget, 31)
         assert_lanes_are([reference(obj, fam_a.n_params + fam_b.n_params, budget.outer_evals)
                           for obj in made], out, 1.0)
 
@@ -831,7 +846,7 @@ def test_lockstep_alice_searches_enter_minimize_once(monkeypatch):
         assert all(c[1].endswith(".inner_light") and c[2] is _lbfgs_lanes
                    and c[4] <= c[3] * 20 <= 3 * 20 for c in light)
         assert [c[:4] for c in calls if c not in light] == [
-            ("eigenbasis", "_minimize_bob_basis.<locals>.outer_obj", _lbfgs_lanes, 2),
+            ("eigenbasis", "_minimize_eigenbases.<locals>.obj", _lbfgs_lanes, 2),
             ("alice", "_maximize_alice", _lbfgs_lanes, 3)]
 
 
@@ -1088,6 +1103,31 @@ def test_sic_deterministic_for_fixed_seed():
         assert a.converged == b.converged
         assert np.array_equal(a.alice_basis.matrix, b.alice_basis.matrix)
         assert np.array_equal(a.bob_basis.matrix, b.bob_basis.matrix)
+
+
+def test_outer_value_is_the_value_at_the_witness_handed_to_sic():
+    # a lane can evaluate one point twice (a trial step that rounds to its
+    # start), and its light pass depends on the lane's history, so each
+    # evaluation can find another witness and value there: sic is handed
+    # the witness behind the value the outer search returns (on the 3x2
+    # state, the last witness at that point is 3.7e-4 off)
+    budget = SearchBudget(outer_starts=3, outer_evals=15, refine_evals=10)
+    for name, (rho, _) in _degenerate_states().items():
+        fam = _b_marginal_family(rho)
+        kinds = (DistanceKind.RELATIVE_ENTROPY, DistanceKind.L1) if rho.dims[1] == 2 else (
+            DistanceKind.RELATIVE_ENTROPY,)
+        for kind in kinds:
+            warm = []
+            outer = correlations._minimize_bob_basis(rho, kind, fam, budget,
+                                                     np.random.default_rng(4), warm)
+            bob = ProjectiveBasis.from_columns(outer.x)
+            if kind is DistanceKind.L1:
+                value = avg_steered_coherence(rho, ProjectiveBasis.from_columns(warm[0]), bob,
+                                              kind)
+            else:
+                value, _ = _danskin_objective(rho, warm[0], replace(fam, base=bob), kind)(
+                    np.zeros(fam.n_params))
+            assert abs(value - outer.value) <= 1e-12, (name, kind)
 
 
 def test_sic_unconverged_when_full_search_beats_outer_value(monkeypatch):
