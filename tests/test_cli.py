@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steercoh import bell_state, load_state, save_state, state_to_dict
+from steercoh import bell_state, load_state, prepare_protocol_state, save_state, state_to_dict
 from steercoh.cli import main
 from steercoh.sampling import random_hs_state
 
@@ -71,6 +71,20 @@ def test_compute_sie_of_rho_x(tmp_path):
     assert np.isclose(entry["value"], 1.0, atol=1e-9)
     assert entry["converged"]
     assert all(rec["exact"] for rec in entry["per_outcome"])
+
+
+def test_compute_sie_of_a_mixed_protocol_state_is_exact(tmp_path):
+    # the copy protocol leaves every steered BC state maximally correlated,
+    # so a mixed qutrit Bob gets the closed form rather than an error
+    rho = random_hs_state((2, 3), np.random.default_rng(23))
+    path = tmp_path / "protocol.json"
+    save_state(prepare_protocol_state(rho), str(path))
+    code, payload = _run_json(["compute", "sie", "--state", str(path)], tmp_path)
+    assert code == 0
+    entry = payload["results"][0]
+    assert entry["tolerance"] == 1e-12
+    assert entry["converged"]
+    assert entry["per_outcome"] and all(rec["exact"] for rec in entry["per_outcome"])
 
 
 def test_compute_from_state_file(tmp_path):

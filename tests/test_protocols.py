@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from steercoh import (
     DensityMatrix,
+    DistanceKind,
     FINDING,
     PASS,
     ProjectiveBasis,
@@ -16,6 +17,7 @@ from steercoh import (
     apply_kraus,
     bell_diagonal_state,
     bell_state,
+    coherence,
     dephase,
     fourier_basis,
     gap_example,
@@ -25,11 +27,13 @@ from steercoh import (
     maximally_mixed,
     partial_trace,
     prepare_protocol_state,
+    product_basis,
     ree_numeric,
     regroup_dims,
     relative_entropy,
     rho_x_finding,
     rho_x_state,
+    steer,
     steering_induced_entanglement,
     tensor_product,
     verify_corollary1,
@@ -38,7 +42,7 @@ from steercoh import (
     werner_state,
 )
 from steercoh import protocols
-from steercoh.correlations import _binary_entropy, _lbfgs_lanes
+from steercoh.correlations import _aligned_to_b_eigenbasis, _binary_entropy, _lbfgs_lanes
 from steercoh.protocols import _ree_objective
 from steercoh.sampling import random_hs_state, random_pure, random_state_nondegenerate_b
 from test_correlations import _minimize_calls
@@ -350,16 +354,48 @@ def test_steering_induced_entanglement_on_rho_x():
 
 
 def test_steering_induced_entanglement_depends_on_alice_basis():
-    # steering the same state along the conjugate direction leaves BC in a
-    # separable mixture, so the numerical fallback is exercised
+    # steering the same state along the conjugate direction leaves BC in the
+    # separable maximally correlated mixture (|00><00| + |11><11|) / 2, which
+    # takes the exact branch
     rho = rho_x_state()
-    avg, per = steering_induced_entanglement(
-        rho, fourier_basis(2), REE_COARSE, seed=0
-    )
+    avg, per = steering_induced_entanglement(rho, fourier_basis(2))
     assert avg <= 1e-6
-    assert any(not rec["exact"] for rec in per)
+    assert all(rec["exact"] for rec in per)
     with pytest.raises(ValueError):
         steering_induced_entanglement(bell_state(), ProjectiveBasis.computational(2))
+    # a Werner pair is not maximally correlated: on two qubits it takes the
+    # REE search, which meets E_R = 1 - h((1 + 3p) / 4)
+    p = 0.6
+    alice_zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
+    avg, per = steering_induced_entanglement(
+        tensor_product(alice_zero, werner_state(p)), ProjectiveBasis.computational(2),
+        REE_LIGHT, seed=0,
+    )
+    assert len(per) == 1 and not per[0]["exact"] and per[0]["converged"]
+    assert abs(avg - (1.0 - _binary_entropy((1.0 + 3.0 * p) / 4.0))) <= 1e-6
+    # beyond two qubits a mixed state off span{|jj>} has no estimate
+    with pytest.raises(ValueError):
+        steering_induced_entanglement(
+            tensor_product(alice_zero, maximally_mixed((3, 3))),
+            ProjectiveBasis.computational(2),
+        )
+
+
+def test_ree_numeric_matches_the_closed_form_on_steered_states():
+    # an independent route to the exact branch: the REE search on the
+    # maximally correlated steered states of mixed two-qubit inputs
+    rng = np.random.default_rng(1515)
+    states = []
+    for _ in range(2):
+        aligned = _aligned_to_b_eigenbasis(random_state_nondegenerate_b((2, 2), rng))
+        _, per = steering_induced_entanglement(prepare_protocol_state(aligned),
+                                               fourier_basis(2))
+        states += per
+    assert len(states) == 4
+    for rec in states:
+        res = ree_numeric(rec["state"], SearchBudget(4, 300), 0)
+        assert res.converged
+        assert abs(res.value - rec["entanglement"]) <= 1e-10
 
 
 def test_verify_theorem2_random_coefficients():
@@ -393,24 +429,34 @@ def test_verify_corollary1_pure_inputs():
         assert rep.theorem == "steered_entanglement_bound"
 
 
-def test_verify_corollary1_mixed_input_uses_numeric_fallback():
-    rng = np.random.default_rng(6)
-    rho = random_hs_state((2, 2), rng)
-    rep = verify_corollary1(rho, budget=SearchBudget(starts=4, max_evals=800), seed=0)
-    assert rep.status == PASS
-    assert any("informational" in line for line in rep.details)
+def test_verify_corollary1_converges_on_mixed_inputs(monkeypatch):
+    # every steered BC state of the copy protocol is maximally correlated, so
+    # each outcome takes the exact branch and no REE search runs; the chain
+    # E <= C_bc <= C_b then holds with equality
+    def no_search(*args, **kwargs):
+        raise AssertionError("ree_numeric ran on a protocol state")
 
-
-def test_verify_corollary1_converges_on_mixed_inputs():
-    # every mixed steered BC state runs the numerical REE search, and each
-    # one must end converged
+    monkeypatch.setattr(protocols, "ree_numeric", no_search)
     rng = np.random.default_rng(1515)
-    for dims in [(2, 2)] * 5 + [(3, 2)] * 5:
+    for dims in [(2, 2)] * 5 + [(3, 2)] * 5 + [(2, 3)] * 2 + [(3, 3)] * 2 + [(4, 3)] * 2:
         rho = random_state_nondegenerate_b(dims, rng)
         rep = verify_corollary1(rho, budget=SearchBudget(4, 300), seed=0)
-        assert rep.status == PASS
+        assert rep.status == PASS, dims
         assert rep.converged, dims
-        assert any("informational" in line for line in rep.details)
+        assert not any("informational" in line for line in rep.details)
+        aligned = _aligned_to_b_eigenbasis(rho)
+        alice = fourier_basis(dims[0])
+        e_b = ProjectiveBasis.computational(dims[1])
+        _, per = steering_induced_entanglement(prepare_protocol_state(aligned), alice)
+        steered_b = steer(aligned, alice)
+        assert len(per) == len(steered_b)
+        for rec, out in zip(per, steered_b):
+            assert rec["exact"] and rec["converged"], dims
+            c_bc = coherence(DistanceKind.RELATIVE_ENTROPY, rec["state"],
+                             product_basis(e_b, e_b))
+            c_b = coherence(DistanceKind.RELATIVE_ENTROPY, out.state, e_b)
+            assert abs(rec["entanglement"] - c_bc) <= 1e-12, dims
+            assert abs(c_bc - c_b) <= 1e-12, dims
 
 
 def test_verify_corollary1_steers_the_protocol_state_once(monkeypatch):
