@@ -429,6 +429,37 @@ def test_verify_corollary1_pure_inputs():
         assert rep.theorem == "steered_entanglement_bound"
 
 
+def test_verify_corollary1_mixed_input_uses_numeric_fallback(monkeypatch):
+    # a mixed two-qubit input passes with every outcome exact; the numerical
+    # REE search is left to mixed two-qubit BC states outside span{|jj>}
+    rng = np.random.default_rng(6)
+    rho = random_hs_state((2, 2), rng)
+    budget = SearchBudget(starts=4, max_evals=800)
+    rep = verify_corollary1(rho, budget=budget, seed=0)
+    assert rep.status == PASS
+    assert not any("informational" in line for line in rep.details)
+
+    real = protocols.ree_numeric
+    calls = []
+
+    def counted(state, budget=None, seed=0):
+        calls.append(state.dims)
+        return real(state, budget, seed)
+
+    monkeypatch.setattr(protocols, "ree_numeric", counted)
+    noisy = DensityMatrix(0.9 * prepare_protocol_state(rho).data
+                          + 0.1 * maximally_mixed((2, 2, 2)).data, (2, 2, 2))
+    avg, per = steering_induced_entanglement(noisy, fourier_basis(2), budget, seed=0)
+    assert calls == [(2, 2)] * len(per)
+    e = ProjectiveBasis.computational(2)
+    for rec in per:
+        assert not rec["exact"]
+        c_bc = coherence(DistanceKind.RELATIVE_ENTROPY, rec["state"], product_basis(e, e))
+        assert -1e-12 <= rec["entanglement"] <= c_bc + 1e-9
+    assert np.isclose(avg, sum(r["probability"] * r["entanglement"] for r in per),
+                      atol=1e-12)
+
+
 def test_verify_corollary1_converges_on_mixed_inputs(monkeypatch):
     # every steered BC state of the copy protocol is maximally correlated, so
     # each outcome takes the exact branch and no REE search runs; the chain
