@@ -44,6 +44,7 @@ from .protocols import (
     bell_diagonal_state,
     make_state,
     maximally_correlated,
+    recipe_side,
     rho_x_finding,
     steering_induced_entanglement,
     verify_corollary1,
@@ -57,7 +58,6 @@ from .qkernel import (
     atomic_write_text,
     load_state,
     save_state,
-    state_to_dict,
 )
 from .report import FAIL, FINDING, PASS
 from .sampling import random_state_nondegenerate_b
@@ -71,6 +71,10 @@ EXIT_IO = 3
 DIM_CAP = 64
 QUANTITIES = ("sic", "mid", "bsmid", "coherence", "theta", "sie")
 SUITES = ("thm1", "thm2", "thm3", "cor1", "props", "distances")
+COMPUTE_COLUMNS = ("quantity", "kind", "value", "tolerance", "converged")
+VERIFY_COLUMNS = ("index", "theorem", "kind", "status", "value_lhs", "value_rhs",
+                  "margin", "converged")
+SWEEP_COLUMNS = ("parameter", "sic", "q_b", "margin", "converged")
 
 # Reported tolerance for direct (non-iterative) evaluations vs quantities
 # behind a numerical search.
@@ -119,25 +123,42 @@ def _budget_from(args) -> SearchBudget | None:
     )
 
 
-def _matrix_payload(m: np.ndarray) -> dict:
-    m = np.asarray(m)
+def _basis_payload(basis: ProjectiveBasis) -> dict:
+    """Basis kets as the columns of a unitary."""
+    m = np.asarray(basis.matrix)
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _basis_payload(basis: ProjectiveBasis) -> dict:
-    """Basis kets as the columns of a unitary."""
-    return _matrix_payload(basis.matrix)
+def _json_error(what: str, exc: json.JSONDecodeError) -> CliError:
+    return CliError(
+        EXIT_VALIDATION,
+        f"{what} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",
+    )
 
 
 def _parse_recipe(text: str) -> StateRecipe:
     try:
         return StateRecipe.from_json(text)
     except json.JSONDecodeError as exc:
+        raise _json_error("recipe", exc) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
+
+
+def _check_side(side: int) -> None:
+    if side > DIM_CAP:
         raise CliError(
-            EXIT_VALIDATION,
-            f"recipe is not valid JSON: line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}",
-        ) from exc
+            EXIT_VALIDATION, f"total dimension {side} exceeds the cap of {DIM_CAP}"
+        )
+
+
+def _recipe_state(recipe: StateRecipe, capped: bool) -> DensityMatrix:
+    """make_state with a bad recipe as a validation error; a capped recipe is
+    sized against DIM_CAP before anything is built."""
+    try:
+        if capped:
+            _check_side(recipe_side(recipe))
+        return make_state(recipe)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
 
@@ -155,27 +176,13 @@ def _load_source(args) -> tuple[DensityMatrix, dict]:
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot read state file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise CliError(
-                EXIT_VALIDATION,
-                f"state file is not valid JSON: line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}",
-            ) from exc
+            raise _json_error("state file", exc) from exc
         except ValueError as exc:
             raise CliError(EXIT_VALIDATION, f"invalid state file: {exc}") from exc
-        source = {"state": args.state}
-    else:
-        recipe = _parse_recipe(args.recipe)
-        try:
-            rho = make_state(recipe)
-        except ValueError as exc:
-            raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
-        source = {"recipe": json.loads(recipe.to_json())}
-    if rho.side > DIM_CAP:
-        raise CliError(
-            EXIT_VALIDATION,
-            f"total dimension {rho.side} exceeds the cap of {DIM_CAP}",
-        )
-    return rho, source
+        _check_side(rho.side)
+        return rho, {"state": args.state}
+    recipe = _parse_recipe(args.recipe)
+    return _recipe_state(recipe, capped=True), {"recipe": json.loads(recipe.to_json())}
 
 
 def _emit(text: str, out: str | None, force: bool) -> None:
@@ -194,75 +201,60 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
+def _csv(columns, rows, *preamble) -> str:
+    """Preamble lines, a header, then one line per row dict. Floats are
+    written with repr, anything else with str; a missing column is empty."""
+    def cell(row, col):
+        v = row.get(col, "")
+        return repr(v) if isinstance(v, float) else str(v)
+
+    lines = [*preamble, ",".join(columns)]
+    lines += [",".join(cell(row, col) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # compute
 
 
+def _entry(quantity, value, tolerance, converged=True, **fields) -> dict:
+    return {"quantity": quantity, "value": value, "tolerance": tolerance,
+            "converged": converged, **fields}
+
+
 def _entry_sic(rho, kind, budget, seed) -> dict:
     res = sic(rho, kind, budget, seed)
-    return {
-        "quantity": "sic",
-        "kind": kind.value,
-        "value": res.value,
-        "tolerance": SEARCH_TOL,
-        "converged": res.converged,
-        "alice_basis": _basis_payload(res.alice_basis),
-        "bob_basis": _basis_payload(res.bob_basis),
-    }
+    return _entry("sic", res.value, SEARCH_TOL, res.converged, kind=kind.value,
+                  alice_basis=_basis_payload(res.alice_basis),
+                  bob_basis=_basis_payload(res.bob_basis))
 
 
 def _entry_mid(rho, kind, budget, seed) -> dict:
     res = mid_detail(rho, kind, budget, seed)
-    return {
-        "quantity": "mid",
-        "kind": kind.value,
-        "value": res.value,
-        "tolerance": SEARCH_TOL,
-        "converged": res.converged,
-        "a_basis": _basis_payload(res.basis_a),
-        "b_basis": _basis_payload(res.basis_b),
-    }
+    return _entry("mid", res.value, SEARCH_TOL, res.converged, kind=kind.value,
+                  a_basis=_basis_payload(res.basis_a),
+                  b_basis=_basis_payload(res.basis_b))
 
 
 def _entry_bsmid(rho, kind, budget, seed) -> dict:
     res = b_side_mid_detail(rho, kind, budget, seed)
-    return {
-        "quantity": "bsmid",
-        "kind": kind.value,
-        "value": res.value,
-        "tolerance": SEARCH_TOL,
-        "converged": res.converged,
-        "b_basis": _basis_payload(res.basis),
-    }
+    return _entry("bsmid", res.value, SEARCH_TOL, res.converged, kind=kind.value,
+                  b_basis=_basis_payload(res.basis))
 
 
 def _entry_coherence(rho, kind, budget, seed) -> dict:
-    basis = ProjectiveBasis.computational(rho.side)
-    return {
-        "quantity": "coherence",
-        "kind": kind.value,
-        "basis": "computational",
-        "value": coherence(kind, rho, basis),
-        "tolerance": EXACT_TOL,
-        "converged": True,
-    }
+    value = coherence(kind, rho, ProjectiveBasis.computational(rho.side))
+    return _entry("coherence", value, EXACT_TOL, kind=kind.value,
+                  basis="computational")
 
 
 def _entry_theta(rho, kind, budget, seed) -> dict:
     if rho.dims != (2, 2):
         raise CliError(EXIT_VALIDATION, "theta requires a two-qubit state")
     th = pauli_decompose(rho)
-    return {
-        "quantity": "theta",
-        "value": {
-            "theta": np.asarray(th.theta).tolist(),
-            "a": np.asarray(th.a).tolist(),
-            "b": np.asarray(th.b).tolist(),
-            "tmat": np.asarray(th.tmat).tolist(),
-        },
-        "tolerance": EXACT_TOL,
-        "converged": True,
-    }
+    value = {k: np.asarray(getattr(th, k)).tolist()
+             for k in ("theta", "a", "b", "tmat")}
+    return _entry("theta", value, EXACT_TOL)
 
 
 def _entry_sie(rho, kind, budget, seed) -> dict:
@@ -273,15 +265,10 @@ def _entry_sie(rho, kind, budget, seed) -> dict:
     alice = ProjectiveBasis.computational(rho.dims[0])
     avg, per_outcome = steering_induced_entanglement(rho, alice, budget, seed)
     per_outcome = [{k: v for k, v in rec.items() if k != "state"} for rec in per_outcome]
-    all_exact = all(rec["exact"] for rec in per_outcome)
-    return {
-        "quantity": "sie",
-        "alice_basis": "computational",
-        "value": avg,
-        "tolerance": EXACT_TOL if all_exact else SEARCH_TOL,
-        "converged": all(rec["converged"] for rec in per_outcome),
-        "per_outcome": per_outcome,
-    }
+    exact = all(rec["exact"] for rec in per_outcome)
+    return _entry("sie", avg, EXACT_TOL if exact else SEARCH_TOL,
+                  all(rec["converged"] for rec in per_outcome),
+                  alice_basis="computational", per_outcome=per_outcome)
 
 
 _ENTRY_FN = {
@@ -313,18 +300,6 @@ def _selected_quantities(args) -> list:
     return ordered
 
 
-def _compute_csv(entries) -> str:
-    lines = ["quantity,kind,value,tolerance,converged"]
-    for e in entries:
-        if e["quantity"] in ("theta",):
-            continue  # matrix-valued, JSON only
-        lines.append(
-            f"{e['quantity']},{e.get('kind', '')},{e['value']!r},"
-            f"{e['tolerance']!r},{e['converged']}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_compute(args) -> int:
     rho, source = _load_source(args)
     kind = DistanceKind.parse(args.kind)
@@ -343,7 +318,10 @@ def cmd_compute(args) -> int:
         "seed": args.seed,
         "results": entries,
     }
-    text = _compute_csv(entries) if args.format == "csv" else _dump_json(payload)
+    if args.format == "csv":
+        text = _csv(COMPUTE_COLUMNS, [e for e in entries if e["quantity"] != "theta"])
+    else:
+        text = _dump_json(payload)
     _emit(text, args.out, args.force)
     if not all(e["converged"] for e in entries):
         return EXIT_NO_CONVERGENCE
@@ -422,16 +400,6 @@ _SUITE_FN = {
 }
 
 
-def _verify_csv(rows) -> str:
-    lines = ["index,theorem,kind,status,value_lhs,value_rhs,margin,converged"]
-    for i, r in enumerate(rows):
-        lines.append(
-            f"{i},{r['theorem']},{r['kind']},{r['status']},{r['value_lhs']!r},"
-            f"{r['value_rhs']!r},{r['margin']!r},{r['converged']}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_verify(args) -> int:
     if args.suite is not None and args.name != "cor1":
         raise CliError(EXIT_VALIDATION, "--suite is only meaningful with cor1")
@@ -471,7 +439,10 @@ def cmd_verify(args) -> int:
         "all_converged": all_converged,
         "instances": rows,
     }
-    text = _verify_csv(rows) if args.format == "csv" else _dump_json(payload)
+    if args.format == "csv":
+        text = _csv(VERIFY_COLUMNS, [{"index": i, **r} for i, r in enumerate(rows)])
+    else:
+        text = _dump_json(payload)
     _emit(text, args.out, args.force)
     print(
         f"{args.name}: {aggregate} ({len(reports)} checks, min margin "
@@ -490,12 +461,7 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_rows(recipe: StateRecipe, grid, kind: DistanceKind,
-                budget, seed: int) -> list:
-    qb_kind = (
-        DistanceKind.RELATIVE_ENTROPY
-        if kind is DistanceKind.RELATIVE_ENTROPY
-        else DistanceKind.TRACE_NORM
-    )
+                qb_kind: DistanceKind, budget, seed: int) -> list:
     rows = []
     for v in grid:
         v = float(v)
@@ -518,20 +484,6 @@ def _sweep_rows(recipe: StateRecipe, grid, kind: DistanceKind,
             }
         )
     return rows
-
-
-def _sweep_csv(rows, kind, qb_kind, seed) -> str:
-    lines = [
-        f"# sic kind={kind} disturbance kind={qb_kind} tolerance={SEARCH_TOL!r} "
-        f"seed={seed}",
-        "parameter,sic,q_b,margin,converged",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['parameter']!r},{r['sic']!r},{r['q_b']!r},{r['margin']!r},"
-            f"{r['converged']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -559,10 +511,11 @@ def cmd_sweep(args) -> int:
     kind = DistanceKind.parse(args.kind)
     if kind is DistanceKind.TRACE_NORM:
         raise CliError(EXIT_VALIDATION, "sweep kinds are 'r' or 'l1'")
-    qb_kind = "r" if kind is DistanceKind.RELATIVE_ENTROPY else "t"
+    qb_kind = (kind if kind is DistanceKind.RELATIVE_ENTROPY
+               else DistanceKind.TRACE_NORM)
     budget = _budget_from(args) or SUITE_BUDGETS["sweep"]
     try:
-        rows = _sweep_rows(recipe, grid, kind, budget, args.seed)
+        rows = _sweep_rows(recipe, grid, kind, qb_kind, budget, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
     if args.format == "json":
@@ -571,14 +524,16 @@ def cmd_sweep(args) -> int:
             "recipe": json.loads(recipe.to_json()),
             "parameter": grid_name,
             "kind": kind.value,
-            "q_b_kind": qb_kind,
+            "q_b_kind": qb_kind.value,
             "tolerance": SEARCH_TOL,
             "seed": args.seed,
             "rows": rows,
         }
         text = _dump_json(payload)
     else:
-        text = _sweep_csv(rows, kind.value, qb_kind, args.seed)
+        text = _csv(SWEEP_COLUMNS, rows,
+                    f"# sic kind={kind.value} disturbance kind={qb_kind.value} "
+                    f"tolerance={SEARCH_TOL!r} seed={args.seed}")
     _emit(text, args.out, args.force)
     if not all(r["converged"] for r in rows):
         return EXIT_NO_CONVERGENCE
@@ -600,6 +555,10 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         raise CliError(EXIT_VALIDATION, "--n must be nonnegative")
     seed = args.seed if args.seed is not None else recipe.seed
+    try:
+        child_seeds = np.random.SeedSequence(seed).generate_state(args.n, np.uint32)
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"invalid seed {seed}: {exc}") from exc
     out_dir = args.out
     if out_dir is None:
         raise CliError(EXIT_VALIDATION, "sample requires --out DIRECTORY")
@@ -617,14 +576,10 @@ def cmd_sample(args) -> int:
                     EXIT_IO, f"refusing to overwrite {p} (pass --force)"
                 )
 
-    child_seeds = (
-        [] if args.n == 0
-        else [int(w) for w in
-              np.random.SeedSequence(seed).generate_state(args.n, np.uint32)]
-    )
     files = []
-    for name, child in zip(names, child_seeds):
-        state = make_state(StateRecipe(recipe.kind, recipe.params, child))
+    for name, child in zip(names, map(int, child_seeds)):
+        state = _recipe_state(StateRecipe(recipe.kind, recipe.params, child),
+                              capped=False)
         path = os.path.join(out_dir, name)
         try:
             save_state(state, path)

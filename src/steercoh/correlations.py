@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .measures import DistanceKind, coherence, distance
+from .measures import DistanceKind, coherence
 from .qkernel import (
     EIG_FLOOR,
     ZERO_PROB,

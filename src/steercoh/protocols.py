@@ -184,10 +184,25 @@ class StateRecipe:
 
 def _recipe_dims(params, default=(2, 2)):
     dims = params.get("dims", list(default))
+    if not isinstance(dims, (list, tuple)):
+        raise ValueError("dims must be a list of subsystem dimensions")
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise ValueError("every subsystem dimension must be at least 2")
     return dims
+
+
+def recipe_side(recipe: StateRecipe) -> int:
+    """Total dimension of make_state(recipe), found without building it."""
+    kind, params = recipe.kind, recipe.params
+    if kind == "maximally_correlated":
+        key = next((k for k in ("coeff_re", "schmidt") if k in params), None)
+        # the longest axis; a malformed (e.g. scalar) entry is left to make_state
+        d = max(np.shape(params[key]), default=1) if key else int(params.get("d", 2))
+        return d * d
+    if kind in ("b_classical", "random_hs", "random_pure", "product"):
+        return math.prod(_recipe_dims(params))
+    return 8 if kind == "rho_x" else 4
 
 
 def make_state(recipe: StateRecipe) -> DensityMatrix:

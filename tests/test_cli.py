@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steercoh import bell_state, load_state, prepare_protocol_state, save_state, state_to_dict
+from steercoh import cli
 from steercoh.cli import main
 from steercoh.sampling import random_hs_state
 
@@ -363,3 +364,63 @@ def test_state_round_trip_through_cli(tmp_path):
     )
     assert code == 0
     assert payload["results"][0]["value"] >= 0.0
+
+
+@pytest.mark.parametrize("recipe,seed", [
+    ('{"kind": "random_hs"}', "-1"),
+    ('{"kind": "random_hs", "params": {"dims": [1, 2]}}', "0"),
+])
+def test_sample_bad_seed_or_recipe_exits_one(recipe, seed, tmp_path, capsys):
+    argv = ["sample", "--recipe", recipe, "--n", "2", "--seed", seed,
+            "--out", str(tmp_path / "corpus")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_compute_non_list_dims_exits_one(capsys):
+    recipe = '{"kind": "random_hs", "params": {"dims": 5}}'
+    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    assert "error: invalid recipe: dims must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe", [
+    '{"kind": "random_hs", "params": {"dims": [200, 200]}}',
+    '{"kind": "maximally_correlated", "params": {"d": 200}}',
+])
+def test_recipe_dimension_cap_applies_before_the_state_is_built(
+        recipe, monkeypatch, capsys):
+    def refuse(_):
+        raise AssertionError("make_state ran on a recipe above the cap")
+
+    monkeypatch.setattr(cli, "make_state", refuse)
+    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    assert "total dimension 40000 exceeds the cap of 64" in capsys.readouterr().err
+
+
+def _csv_cell(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv,rows_key,header_lines", [
+    (["compute", "coherence", "sie", "--recipe", '{"kind": "rho_x"}'], "results", 1),
+    (["verify", "distances", "--n", "10"], "instances", 1),
+    (["sweep", "--recipe", '{"kind": "werner", "params": {"p": [0.3, 0.8]}}',
+      "--kind", "l1", "--budget", "200"], "rows", 2),
+])
+def test_csv_cells_match_the_json_payload(argv, rows_key, header_lines, tmp_path):
+    code, payload = _run_json(argv + ["--format", "json"], tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == code == 0
+    lines = out.read_text().splitlines()
+    columns = lines[header_lines - 1].split(",")
+    rows = payload[rows_key]
+    assert len(lines) == header_lines + len(rows)
+    # cells are not quoted (the distances report's kind is "r,l1"), so the
+    # lines are compared whole
+    for i, (row, line) in enumerate(zip(rows, lines[header_lines:])):
+        row = {"index": i, **row}
+        assert line == ",".join(_csv_cell(row[c]) if c in row else "" for c in columns)
+    if rows_key == "results":
+        assert [r["quantity"] for r in rows] == ["coherence", "sie"]
+        assert "kind" not in rows[1] and lines[2].startswith("sie,,")

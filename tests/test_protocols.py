@@ -43,7 +43,7 @@ from steercoh import (
 )
 from steercoh import protocols
 from steercoh.correlations import _aligned_to_b_eigenbasis, _binary_entropy, _lbfgs_lanes
-from steercoh.protocols import _ree_objective
+from steercoh.protocols import _ree_objective, recipe_side
 from steercoh.sampling import random_hs_state, random_pure, random_state_nondegenerate_b
 from test_correlations import _minimize_calls
 
@@ -202,6 +202,27 @@ def test_make_state_coefficient_matrix_input():
 def test_make_state_dimension_validation():
     with pytest.raises(ValueError):
         make_state(StateRecipe("random_hs", {"dims": [1, 2]}))
+    with pytest.raises(ValueError, match="dims must be a list"):
+        make_state(StateRecipe("random_hs", {"dims": 5}))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("maximally_correlated", {"coeff_re": (np.eye(3) / 3).tolist()}),
+    ("maximally_correlated", {"schmidt": [0.2, 0.3, 0.5]}),
+    ("maximally_correlated", {"d": 3}),
+    ("maximally_correlated", {}),
+    ("bell", {}),
+    ("gap_example", {}),
+    ("rho_x", {}),
+    ("b_classical", {"dims": [3, 2]}),
+    ("random_hs", {"dims": [2, 3, 2]}),
+    ("random_pure", {}),
+    ("product", {"dims": [3, 2]}),
+    ("werner", {"p": 0.5}),
+])
+def test_recipe_side_matches_the_built_state(kind, params):
+    recipe = StateRecipe(kind, params, seed=3)
+    assert recipe_side(recipe) == make_state(recipe).side
 
 
 def test_make_state_is_seed_deterministic():
