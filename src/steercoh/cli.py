@@ -17,6 +17,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -136,13 +137,21 @@ def _json_error(what: str, exc: json.JSONDecodeError) -> CliError:
     )
 
 
-def _parse_recipe(text: str) -> StateRecipe:
+@contextlib.contextmanager
+def _invalid_recipe():
+    """Report a ValueError raised in the block as an invalid recipe."""
     try:
-        return StateRecipe.from_json(text)
-    except json.JSONDecodeError as exc:
-        raise _json_error("recipe", exc) from exc
+        yield
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
+
+
+def _parse_recipe(text: str) -> StateRecipe:
+    with _invalid_recipe():
+        try:
+            return StateRecipe.from_json(text)
+        except json.JSONDecodeError as exc:
+            raise _json_error("recipe", exc) from exc
 
 
 def _check_side(side: int) -> None:
@@ -150,17 +159,6 @@ def _check_side(side: int) -> None:
         raise CliError(
             EXIT_VALIDATION, f"total dimension {side} exceeds the cap of {DIM_CAP}"
         )
-
-
-def _recipe_state(recipe: StateRecipe, capped: bool) -> DensityMatrix:
-    """make_state with a bad recipe as a validation error; a capped recipe is
-    sized against DIM_CAP before anything is built."""
-    try:
-        if capped:
-            _check_side(recipe_side(recipe))
-        return make_state(recipe)
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid recipe: {exc}") from exc
 
 
 def _load_source(args) -> tuple[DensityMatrix, dict]:
@@ -179,10 +177,15 @@ def _load_source(args) -> tuple[DensityMatrix, dict]:
             raise _json_error("state file", exc) from exc
         except ValueError as exc:
             raise CliError(EXIT_VALIDATION, f"invalid state file: {exc}") from exc
-        _check_side(rho.side)
-        return rho, {"state": args.state}
-    recipe = _parse_recipe(args.recipe)
-    return _recipe_state(recipe, capped=True), {"recipe": json.loads(recipe.to_json())}
+        source = {"state": args.state}
+    else:
+        recipe = _parse_recipe(args.recipe)
+        with _invalid_recipe():
+            _check_side(recipe_side(recipe))  # rejects early, before anything is built
+            rho = make_state(recipe)
+        source = {"recipe": json.loads(recipe.to_json())}
+    _check_side(rho.side)
+    return rho, source
 
 
 def _emit(text: str, out: str | None, force: bool) -> None:
@@ -562,6 +565,8 @@ def cmd_sample(args) -> int:
     out_dir = args.out
     if out_dir is None:
         raise CliError(EXIT_VALIDATION, "sample requires --out DIRECTORY")
+    with _invalid_recipe():
+        recipe_side(recipe)  # a malformed recipe is rejected before --out is made
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -578,8 +583,8 @@ def cmd_sample(args) -> int:
 
     files = []
     for name, child in zip(names, map(int, child_seeds)):
-        state = _recipe_state(StateRecipe(recipe.kind, recipe.params, child),
-                              capped=False)
+        with _invalid_recipe():
+            state = make_state(StateRecipe(recipe.kind, recipe.params, child))
         path = os.path.join(out_dir, name)
         try:
             save_state(state, path)

@@ -196,13 +196,23 @@ def recipe_side(recipe: StateRecipe) -> int:
     """Total dimension of make_state(recipe), found without building it."""
     kind, params = recipe.kind, recipe.params
     if kind == "maximally_correlated":
-        key = next((k for k in ("coeff_re", "schmidt") if k in params), None)
-        # the longest axis; a malformed (e.g. scalar) entry is left to make_state
-        d = max(np.shape(params[key]), default=1) if key else int(params.get("d", 2))
+        # the side d of the d x d coefficient matrix make_state assembles
+        if "coeff_re" in params:
+            real = np.asarray(params["coeff_re"], dtype=float)
+            imag = np.asarray(params.get("coeff_im", real), dtype=float)
+            d = max(np.broadcast_shapes(real.shape, imag.shape), default=1)
+        elif "schmidt" in params:
+            d = np.asarray(params["schmidt"], dtype=float).size
+        else:
+            d = int(params.get("d", 2))
         return d * d
     if kind in ("b_classical", "random_hs", "random_pure", "product"):
         return math.prod(_recipe_dims(params))
-    return 8 if kind == "rho_x" else 4
+    if kind == "rho_x":
+        return 8
+    if kind in ("bell", "gap_example", "werner"):
+        return 4
+    raise ValueError(f"no size known for recipe kind {kind!r}")
 
 
 def make_state(recipe: StateRecipe) -> DensityMatrix:

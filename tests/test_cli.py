@@ -371,11 +371,12 @@ def test_state_round_trip_through_cli(tmp_path):
     ('{"kind": "random_hs", "params": {"dims": [1, 2]}}', "0"),
 ])
 def test_sample_bad_seed_or_recipe_exits_one(recipe, seed, tmp_path, capsys):
-    argv = ["sample", "--recipe", recipe, "--n", "2", "--seed", seed,
-            "--out", str(tmp_path / "corpus")]
+    out = tmp_path / "corpus"
+    argv = ["sample", "--recipe", recipe, "--n", "2", "--seed", seed, "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_compute_non_list_dims_exits_one(capsys):
@@ -384,18 +385,32 @@ def test_compute_non_list_dims_exits_one(capsys):
     assert "error: invalid recipe: dims must be a list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("recipe", [
-    '{"kind": "random_hs", "params": {"dims": [200, 200]}}',
-    '{"kind": "maximally_correlated", "params": {"d": 200}}',
-])
+@pytest.mark.parametrize("recipe,side", [
+    ('{"kind": "random_hs", "params": {"dims": [200, 200]}}', 40000),
+    ('{"kind": "maximally_correlated", "params": {"d": 200}}', 40000),
+    # np.outer flattens the weights: 64 of them give a 64 x 64 coefficient matrix
+    (json.dumps({"kind": "maximally_correlated",
+                 "params": {"schmidt": np.full((8, 8), 1 / 64).tolist()}}), 4096),
+    # coeff_re broadcasts against coeff_im
+    (json.dumps({"kind": "maximally_correlated",
+                 "params": {"coeff_re": [[0.01]],
+                            "coeff_im": np.zeros((100, 100)).tolist()}}), 10000),
+], ids=["dims", "d", "schmidt", "coeff_broadcast"])
 def test_recipe_dimension_cap_applies_before_the_state_is_built(
-        recipe, monkeypatch, capsys):
+        recipe, side, monkeypatch, capsys):
     def refuse(_):
         raise AssertionError("make_state ran on a recipe above the cap")
 
     monkeypatch.setattr(cli, "make_state", refuse)
     assert main(["compute", "coherence", "--recipe", recipe]) == 1
-    assert "total dimension 40000 exceeds the cap of 64" in capsys.readouterr().err
+    assert f"total dimension {side} exceeds the cap of 64" in capsys.readouterr().err
+
+
+def test_recipe_dimension_cap_also_applies_to_the_built_state(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "recipe_side", lambda _: 1)
+    recipe = '{"kind": "random_hs", "params": {"dims": [9, 9]}}'
+    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    assert "total dimension 81 exceeds the cap of 64" in capsys.readouterr().err
 
 
 def _csv_cell(value):

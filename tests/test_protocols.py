@@ -208,7 +208,9 @@ def test_make_state_dimension_validation():
 
 @pytest.mark.parametrize("kind,params", [
     ("maximally_correlated", {"coeff_re": (np.eye(3) / 3).tolist()}),
+    ("maximally_correlated", {"coeff_re": [[0.5]], "coeff_im": [[0, 0], [0, 0]]}),
     ("maximally_correlated", {"schmidt": [0.2, 0.3, 0.5]}),
+    ("maximally_correlated", {"schmidt": [[0.25, 0.25], [0.25, 0.25]]}),
     ("maximally_correlated", {"d": 3}),
     ("maximally_correlated", {}),
     ("bell", {}),
@@ -223,6 +225,12 @@ def test_make_state_dimension_validation():
 def test_recipe_side_matches_the_built_state(kind, params):
     recipe = StateRecipe(kind, params, seed=3)
     assert recipe_side(recipe) == make_state(recipe).side
+
+
+def test_recipe_side_rejects_a_kind_it_cannot_size(monkeypatch):
+    monkeypatch.setattr(protocols, "RECIPE_KINDS", protocols.RECIPE_KINDS + ("ghz",))
+    with pytest.raises(ValueError, match="no size known for recipe kind 'ghz'"):
+        recipe_side(StateRecipe("ghz"))
 
 
 def test_make_state_is_seed_deterministic():
