@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -205,15 +207,20 @@ def _dump_json(payload) -> str:
 
 
 def _csv(columns, rows, *preamble) -> str:
-    """Preamble lines, a header, then one line per row dict. Floats are
-    written with repr, anything else with str; a missing column is empty."""
+    """Preamble lines as they are, then a header and one line per row dict
+    through csv.writer, which quotes a cell holding a comma, a quote or a
+    line break. Floats are written with repr, anything else with str; a
+    missing column is empty."""
     def cell(row, col):
         v = row.get(col, "")
         return repr(v) if isinstance(v, float) else str(v)
 
-    lines = [*preamble, ",".join(columns)]
-    lines += [",".join(cell(row, col) for col in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.writelines(f"{line}\n" for line in preamble)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(row, col) for col in columns] for row in rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +573,8 @@ def cmd_sample(args) -> int:
     if out_dir is None:
         raise CliError(EXIT_VALIDATION, "sample requires --out DIRECTORY")
     with _invalid_recipe():
-        recipe_side(recipe)  # a malformed recipe is rejected before --out is made
+        # a malformed or oversized recipe is rejected before --out is made
+        _check_side(recipe_side(recipe))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

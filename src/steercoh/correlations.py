@@ -22,9 +22,11 @@ handed to scipy's minimize as a custom method, one minimize call per
 search), and each start makes the run it would make alone. Each round
 hands the objective the pending points of the running starts as lists of
 floats. On dims other than 2x2 an Alice search evaluates them in one call
-of the general objective over the stacked frames; the two-qubit Bloch
-objective and the eigenbasis objectives are one function per start, called
-one after another (_lanes_of).
+of the general objective over the stacked frames, and a search of the
+disturbance over eigenbases in one call of _disturbance_objective over the
+stacked start frames. The two-qubit Bloch objective and the Danskin
+objective of the sic minimax are one function per start, called one after
+another (the Danskin lanes through _lanes_of).
 Every search over eigenbases is one lockstep search (_minimize_eigenbases)
 whose starts re-centre the charts on their own frames; its callers differ
 only in the objective. b_side_mid and mid minimize the disturbance. A
@@ -155,9 +157,10 @@ def _chart_pullback(hw: np.ndarray, hv: np.ndarray, grad_u: np.ndarray) -> np.nd
     written as i e^{i(w_j + w_k)/2} sin(h) / h with h = (w_j - w_k) / 2 so
     close eigenvalues do not cancel.
     """
-    half = 0.5 * (hw[..., :, None] - hw[..., None, :])
+    col, row = hw[..., :, None], hw[..., None, :]
+    half = 0.5 * (col - row)
     ratio = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
-    phi_conj = -1j * np.exp(-0.5j * (hw[..., :, None] + hw[..., None, :])) * ratio
+    phi_conj = -1j * np.exp(-0.5j * (col + row)) * ratio
     hvh = hv.conj().swapaxes(-1, -2)
     y = hv @ (phi_conj * (hvh @ grad_u @ hv)) @ hvh
     flat = y.conj().reshape(*hw.shape[:-1], -1, 1)
@@ -230,35 +233,71 @@ class EigenbasisFamily:
 
     def _columns(self, params) -> np.ndarray:
         """Unchecked member(params) as a unitary with the kets as columns."""
-        return self._columns_with_pullback(params)[0]
-
-    def _columns_with_pullback(self, params):
-        """_columns(params) and the map taking a gradient in those columns
-        (df = Re tr(grad^dag dcols)) to the gradient in params."""
         cols = np.array(self.base.matrix)
-        charts = []
-        off = 0
-        for blk in self.active_blocks:
+        _turn_blocks(_block_runs(self.active_blocks), [cols], np.asarray(params))
+        return cols
+
+
+def _block_runs(*sides) -> list:
+    """The active blocks of one or more sides (families), whose chart
+    coordinates follow each other in that order, as runs of consecutive
+    blocks of one size: (size m, the run's coordinate slice, its blocks as
+    (side, column slice) pairs)."""
+    runs = []
+    off = 0
+    for side, blocks in enumerate(sides):
+        for blk in blocks:
             m = len(blk)
-            n = m * m - m
             idx = slice(blk[0], blk[-1] + 1)  # clusters are runs of sorted eigenvalues
-            frame = cols[:, idx].copy()  # a view would see the rotated columns
-            u, hw, hv = _chart(m, params[off:off + n])
-            cols[:, idx] = frame @ u
-            charts.append((slice(off, off + n), idx, frame, hw, hv))
-            off += n
+            if runs and runs[-1][0] == m:
+                runs[-1][2].append((side, idx))
+            else:
+                runs.append((m, off, [(side, idx)]))
+            off += m * m - m
+    return [(m, slice(start, start + len(blocks) * (m * m - m)), blocks)
+            for m, start, blocks in runs]
 
-        def pullback(grad: np.ndarray) -> np.ndarray:
-            out = np.empty(off)
-            for at, idx, frame, hw, hv in charts:
-                out[at] = _chart_pullback(hw, hv, frame.conj().T @ grad[:, idx])
-            return out
 
-        return cols, pullback
+def _turn_blocks(runs: list, frames: list, x) -> list:
+    """Turn the columns of each block of _block_runs' runs in its side's
+    frame (kets as columns) by the _chart of the block's coordinates in x,
+    in place; leading axes of the frames and of x stack lanes. Each run is
+    one _chart call, its blocks stacked on a new axis when it has several.
+    Returns, per run, what _pull_blocks needs: the blocks' columns before
+    the turn and the chart's (hw, hv)."""
+    charts = []
+    for m, at, blocks in runs:
+        k = len(blocks)
+        xs = x[..., at] if k == 1 else x[..., at].reshape(*x.shape[:-1], k, m * m - m)
+        u, hw, hv = _chart(m, xs)
+        before = []
+        for j, (side, idx) in enumerate(blocks):
+            cols = frames[side]
+            frame = cols[..., idx].copy()  # a view would see the turned columns
+            cols[..., idx] = frame @ (u if k == 1 else u[..., j, :, :])
+            before.append(frame)
+        charts.append((before, hw, hv))
+    return charts
+
+
+def _pull_blocks(runs: list, charts: list, grads: list, out: np.ndarray) -> None:
+    """Write into out the gradient in the coordinates of _turn_blocks'
+    charts, given the gradient grads[side] in each side's turned frame (df =
+    Re tr(grad^dag dframe)); each run is one _chart_pullback call."""
+    for (_, at, blocks), (before, hw, hv) in zip(runs, charts):
+        grad_u = [frame.conj().swapaxes(-1, -2) @ grads[side][..., idx]
+                  for frame, (side, idx) in zip(before, blocks)]
+        if len(blocks) == 1:
+            out[..., at] = _chart_pullback(hw, hv, grad_u[0])
+        else:
+            pulled = _chart_pullback(hw, hv, np.stack(grad_u, axis=-3))
+            out[..., at] = pulled.reshape(*out.shape[:-1], -1)
 
 
 def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
-    return EigenbasisFamily.from_matrix(partial_trace(rho, [1]).data)
+    """The eigenbasis family of rho_B, built once per state."""
+    return rho._cached("b_family",
+                       lambda r: EigenbasisFamily.from_matrix(partial_trace(r, [1]).data))
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +702,6 @@ def _lanes_search(fun, lanes: int, n: int, max_evals: int) -> _SearchOutcome:
     return _SearchOutcome(float(end.fun), end.x, bool(end.success), end.nfev, end.run)
 
 
-def _negated(out):
-    """-out for a (value, gradient list) pair."""
-    value, grad = out
-    return -value, list(map(neg, grad))
-
-
 def _named(fn, qualname: str):
     """fn with __qualname__ set: perfbench/tracer.py tells the searches
     apart by the qualname of the objective handed to minimize."""
@@ -689,8 +722,15 @@ def _search_frames(rho: DensityMatrix, frames: list, bob: np.ndarray, kind: Dist
     da, db = rho.dims
     sigs = _rotated(rho.data, np.array(frames), bob)
     if rho.dims == (2, 2):
-        fun = _lanes_of([lambda x, f=_objective_bloch_2q(sig, kind): _negated(f(x))
-                         for sig in sigs])
+        fs = [_objective_bloch_2q(sig, kind) for sig in sigs]
+
+        def fun(points, idx):
+            out = []
+            for j, x in zip(idx, points):
+                value, grad = fs[j](x)
+                grad[0], grad[1] = -grad[0], -grad[1]
+                out.append((-value, grad))
+            return out
     else:
         f = _objective_general(sigs, da, db, kind)
 
@@ -720,11 +760,18 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
 # disturbance quantities
 
 
-def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
-                           fam_b: EigenbasisFamily, kind: DistanceKind):
-    """Objective phi -> (value, gradient): the distance from rho to its
-    dephasing in the family members picked by phi = (fam_a params, fam_b
-    params); only B is dephased when fam_a is None.
+def _disturbance_objective(rho: DensityMatrix, fam_a, fam_b, kind: DistanceKind):
+    """The distance from rho to its dephasing in the family members picked
+    by phi = (fam_a params, fam_b params), with its gradient in phi; only B
+    is dephased when fam_a is None.
+
+    fam_a and fam_b are families, or sequences of families sharing one
+    block structure, one per lane (the start frames of one search). For
+    families it returns phi -> (value, gradient array). For sequences it
+    returns (points, idx) -> one (value, gradient list) pair per lane idx[j]
+    at points[j], in order: every lane runs the same stacked calls, so a
+    lane's bits do not depend on the batch it runs in, and the function of
+    families is the one-lane case.
 
     In the members' frame sigma = v^dag rho v, v = ua (x) ub, the dephasing
     (a pinching, so the relative entropy is an entropy gap) keeps the
@@ -734,65 +781,104 @@ def _disturbance_objective(rho: DensityMatrix, fam_a: EigenbasisFamily | None,
     the moduli of the entries off the kept part) the phases sigma / |sigma|
     of those entries, zero where |sigma| <= EIG_FLOOR. The gradient in v is
     2 rho v M; contracting it with conj(ua) or conj(ub) splits it by side,
-    and each family pulls its side back to its chart. With no parameters
-    the gradient is empty and none of it is computed.
+    and each side pulls its blocks back to its chart (_pull_blocks). With
+    no parameters the gradient is empty and none of it is computed.
     """
+    lanes = not isinstance(fam_b, EigenbasisFamily)
+    fams_b = fam_b if lanes else (fam_b,)
+    fams_a = fam_a if lanes or fam_a is None else (fam_a,)
     da, db = rho.dims
     data = rho.data
-    na = 0 if fam_a is None else fam_a.n_params
-    n = na + fam_b.n_params
-    eye_a = np.eye(da)
-    keep = np.kron(np.ones((da, da)) if fam_a is None else eye_a, np.eye(db))
+    bases_b = np.array([f.base.matrix for f in fams_b])
+    # contract_b contracts the gradient in v with conj(ua) to B's side
+    if fams_a is None:
+        bases_a, na = None, 0
+        eye_a = np.eye(da)
+        keep = np.kron(np.ones((da, da)), np.eye(db))
+        runs = _block_runs(fams_b[0].active_blocks)
+        contract_b = "...abcd,ac->...bd"
+    else:
+        bases_a, na = np.array([f.base.matrix for f in fams_a]), fams_a[0].n_params
+        keep = np.kron(np.eye(da), np.eye(db))
+        runs = _block_runs(fams_a[0].active_blocks, fams_b[0].active_blocks)
+        contract_b = "...abcd,...ac->...bd"
+    n = na + fams_b[0].n_params
     is_r = kind is DistanceKind.RELATIVE_ENTROPY
     is_l1 = kind is DistanceKind.L1
     s_rho = von_neumann_entropy(rho) if is_r else 0.0
-    empty = np.zeros(0)
 
-    def obj(phi):
-        phi = np.asarray(phi)
-        if n == 0:
-            rot = _rotated(data, eye_a if fam_a is None else fam_a.base.matrix,
-                           fam_b.base.matrix)
-            if is_r:
-                value = float(_entropy_rows(np.linalg.eigvalsh(rot * keep))) - s_rho
-                return max(0.0, value), empty
-            off = rot - rot * keep
-            return float((np.abs(off) if is_l1 else np.abs(np.linalg.eigvalsh(off))).sum()), empty
-        ua, pull_a = (eye_a, None) if fam_a is None else fam_a._columns_with_pullback(phi[:na])
-        ub, pull_b = fam_b._columns_with_pullback(phi[na:])
+    def evaluate(x, ub, ua):
+        """Values and gradients at x of the lanes whose frames are ub and ua
+        (None when A is not dephased): without leading axes for one lane,
+        with one lane axis for several."""
+        if ua is None:
+            frames, ua = [ub], eye_a
+        else:
+            frames = [ua, ub]
+        charts = _turn_blocks(runs, frames, x)
         v = _product_frame(ua, ub)
-        rot = v.conj().T @ data @ v
+        rot = v.conj().swapaxes(-1, -2) @ data @ v
+        if n == 0:
+            if is_r:
+                values = _entropy_rows(np.linalg.eigvalsh(rot * keep)) - s_rho
+            else:
+                off = rot - rot * keep
+                mag = np.abs(off) if is_l1 else np.abs(np.linalg.eigvalsh(off))
+                values = mag.reshape(*x.shape[:-1], -1).sum(axis=-1)
+            return values, np.zeros(x.shape)
         if is_r:
             lam, vec = np.linalg.eigh(rot * keep)
-            value = float(_entropy_rows(lam)) - s_rho
-            if value <= 0.0:
-                return 0.0, np.zeros(n)
-            mmat = (vec * -np.log2(np.maximum(lam, EIG_FLOOR))) @ vec.conj().T
+            values = _entropy_rows(lam) - s_rho
+            logs = -np.log2(np.maximum(lam, EIG_FLOOR))
+            mmat = (vec * logs[..., None, :]) @ vec.conj().swapaxes(-1, -2)
         elif is_l1:
             off = rot - rot * keep
             mag = np.abs(off)
-            value = float(mag.sum())
+            values = mag.reshape(*x.shape[:-1], -1).sum(axis=-1)
             mmat = np.divide(off, mag, out=np.zeros_like(off), where=mag > EIG_FLOOR)
         else:
             lam, vec = np.linalg.eigh(rot - rot * keep)
-            value = float(np.abs(lam).sum())
-            sgn = (vec * np.sign(lam)) @ vec.conj().T
+            values = np.abs(lam).sum(axis=-1)
+            sgn = (vec * np.sign(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
             mmat = sgn - sgn * keep
-        g = (2.0 * (data @ v @ mmat)).reshape(da, db, da, db)
-        grad_b = pull_b(np.einsum("abcd,ac->bd", g, ua.conj()))
-        if not na:
-            return value, grad_b
-        return value, np.concatenate([pull_a(np.einsum("abcd,bd->ac", g, ub.conj())), grad_b])
+        g = (2.0 * (data @ v @ mmat)).reshape(*x.shape[:-1], da, db, da, db)
+        grad_b = np.einsum(contract_b, g, ua.conj())
+        side_grads = [grad_b] if bases_a is None else [
+            np.einsum("...abcd,...bd->...ac", g, ub.conj()) if na else None, grad_b]
+        grads = np.empty(x.shape)
+        _pull_blocks(runs, charts, side_grads, grads)
+        return values, grads
 
-    return obj
+    # The entropy gap is nonnegative: a lane below zero reads 0 with a zero
+    # gradient, clipped on the floats each wrapper returns.
+    def lanes_f(points, idx):
+        values, grads = evaluate(
+            np.array(points, dtype=float), bases_b.take(idx, axis=0),
+            None if bases_a is None else bases_a.take(idx, axis=0))
+        out = zip(values.tolist(), grads.tolist())
+        return [(0.0, [0.0] * n) if v <= 0.0 else (v, g) for v, g in out] if is_r else out
+
+    if lanes:
+        return lanes_f
+
+    def f(phi):
+        value, grad = evaluate(np.asarray(phi, dtype=float), bases_b[0].copy(),
+                               None if bases_a is None else bases_a[0].copy())
+        value = float(value)
+        return (0.0, np.zeros(n)) if is_r and value <= 0.0 else (value, grad)
+
+    return f
 
 
 def _minimize_eigenbases(objective, fam_a: EigenbasisFamily | None, fam_b: EigenbasisFamily,
                          budget: SearchBudget, seed):
-    """Minimum over the families' charts of the per-start objectives
-    objective(fa, fb) (each phi -> (value, gradient), phi = (fa params, fb
-    params)), as (outcome, fa, fb) with the families of the winning start,
-    in whose charts the outcome's x lies. seed is an int or a Generator.
+    """Minimum over the families' charts of objective(fams_a, fams_b), the
+    lanes objective of the start frames' families (one list per side,
+    fams_a None when fam_a is), as (outcome, fa, fb) with the families of
+    the winning start, in whose charts the outcome's x lies. seed is an int
+    or a Generator. With no parameters there is one start, and
+    objective(fam_a, fam_b), on the families themselves, is a function of
+    phi as _disturbance_objective's is.
 
     Each start is a frame: the families re-centred on their members at the
     start point (the origin, then seeded Gaussian draws), searched by the
@@ -808,16 +894,15 @@ def _minimize_eigenbases(objective, fam_a: EigenbasisFamily | None, fam_b: Eigen
         value, _ = objective(fam_a, fam_b)(np.zeros(0))
         return _SearchOutcome(value, np.zeros(0), True, 1, 0), fam_a, fam_b
     rng = np.random.default_rng(seed)
-    frames = [(fam_a, fam_b)]
-    for x in rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), n)):
-        frames.append((None if fam_a is None else fam_a.centred(x[:na]),
-                       fam_b.centred(x[na:])))
-    fun = _lanes_of([objective(fa, fb) for fa, fb in frames])
+    xs = rng.normal(scale=1.2, size=(max(budget.outer_starts - 1, 0), n))
+    fams_b = [fam_b, *(fam_b.centred(x[na:]) for x in xs)]
+    fams_a = None if fam_a is None else [fam_a, *(fam_a.centred(x[:na]) for x in xs)]
     # perfbench/tracer.py classes a search whose objective's qualname ends in
     # .obj as an eigenbasis search
-    res = _lanes_search(_named(fun, f"{_minimize_eigenbases.__qualname__}.<locals>.obj"),
-                        len(frames), n, budget.outer_evals)
-    return (res, *frames[res.run])
+    res = _lanes_search(_named(objective(fams_a, fams_b),
+                               f"{_minimize_eigenbases.__qualname__}.<locals>.obj"),
+                        len(fams_b), n, budget.outer_evals)
+    return res, None if fam_a is None else fams_a[res.run], fams_b[res.run]
 
 
 def _check_mid_args(rho: DensityMatrix, kind, name: str) -> DistanceKind:
@@ -968,14 +1053,15 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     outcome is the base eigenbasis with value +inf, converged.
 
     It is the eigenbasis search of b_side_mid (_minimize_eigenbases, drawing
-    its starts from rng), on another per-start objective. For l1 with a
-    qubit Bob that objective is Alice's best value itself, the B-side
-    trace-norm disturbance 2 ||C||_1 (twoqubit), and `warm` gets W's
-    eigenbasis. Otherwise it is the Danskin objective: at each point Alice's
-    best basis comes from a light pass (the lane's witness at the last point
-    it evaluated, the identity and one fixed Haar frame, refine_evals calls
-    each), and value and gradient are those of _danskin_objective at that
-    witness. Each lane keeps the witness of every point it evaluates.
+    its starts from rng), on another objective. For l1 with a qubit Bob that
+    objective is Alice's best value itself, the B-side trace-norm
+    disturbance 2 ||C||_1 (twoqubit), stacked over the start frames, and
+    `warm` gets W's eigenbasis. Otherwise it is the Danskin objective, one
+    function per lane: at each point Alice's best basis comes from a light
+    pass (the lane's witness at the last point it evaluated, the identity
+    and one fixed Haar frame, refine_evals calls each), and value and
+    gradient are those of _danskin_objective at that witness. Each lane
+    keeps the witness of every point it evaluates.
     """
     if fam.is_trivial:
         return _SearchOutcome(math.inf, fam.base.matrix, True, 0, 0)
@@ -994,7 +1080,7 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
     # point evaluated twice can get another witness and value
     witnesses = []
 
-    def lane(_, f):
+    def lane(f):
         seen, last = {}, []
         witnesses.append(seen)
 
@@ -1008,7 +1094,8 @@ def _minimize_bob_basis(rho: DensityMatrix, kind: DistanceKind, fam: EigenbasisF
 
         return obj
 
-    res, _, f = _minimize_eigenbases(lane, None, fam, budget, rng)
+    res, _, f = _minimize_eigenbases(lambda _, fams: _lanes_of([lane(f) for f in fams]),
+                                     None, fam, budget, rng)
     warm[:] = [witnesses[res.run][tuple(res.x.tolist()), res.value]]
     return res._replace(x=f._columns(res.x))
 

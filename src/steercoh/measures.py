@@ -124,7 +124,7 @@ def coherence(kind, rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     if kind is DistanceKind.TRACE_NORM and rho.side != 2:
         raise ValueError("trace-norm coherence is only defined here for dim 2")
     u = basis.matrix
-    rotated = DensityMatrix(u.conj().T @ rho.data @ u, (rho.side,))
+    rotated = DensityMatrix._derived(u.conj().T @ rho.data @ u, (rho.side,))
     comp = ProjectiveBasis.computational(rho.side)
     return distance(kind, rotated, dephase(rotated, comp, target=0))
 

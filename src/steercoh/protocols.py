@@ -85,9 +85,9 @@ def maximally_correlated(coeff) -> DensityMatrix:
     coefficient matrix's spectrum.
     """
     m = np.asarray(coeff, dtype=complex)
-    d = m.shape[0]
-    if m.shape != (d, d):
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("coefficient matrix must be square")
+    d = m.shape[0]
     if abs(np.trace(m) - 1.0) > 1e-9 or np.abs(m - m.conj().T).max() > 1e-9:
         raise ValueError("coefficient matrix must be Hermitian with unit trace")
     if np.linalg.eigvalsh(m).min() < -1e-9:
@@ -175,18 +175,28 @@ class StateRecipe:
         payload = json.loads(text)
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError("recipe must be an object with a 'kind' field")
-        return cls(
-            kind=payload["kind"],
-            params=dict(payload.get("params", {})),
-            seed=int(payload.get("seed", 0)),
-        )
+        try:
+            params = dict(payload.get("params", {}))
+        except TypeError as exc:
+            raise ValueError("recipe params must be an object") from exc
+        return cls(kind=payload["kind"], params=params,
+                   seed=_number(payload.get("seed", 0), "seed", int))
+
+
+def _number(value, what: str, cast):
+    """cast(value) for a recipe field; a value of the wrong JSON type (a
+    list, an object) raises ValueError, as a malformed number does."""
+    try:
+        return cast(value)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _recipe_dims(params, default=(2, 2)):
     dims = params.get("dims", list(default))
     if not isinstance(dims, (list, tuple)):
         raise ValueError("dims must be a list of subsystem dimensions")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_number(d, "a subsystem dimension", int) for d in dims)
     if any(d < 2 for d in dims):
         raise ValueError("every subsystem dimension must be at least 2")
     return dims
@@ -204,7 +214,7 @@ def recipe_side(recipe: StateRecipe) -> int:
         elif "schmidt" in params:
             d = np.asarray(params["schmidt"], dtype=float).size
         else:
-            d = int(params.get("d", 2))
+            d = _number(params.get("d", 2), "d", int)
         return d * d
     if kind in ("b_classical", "random_hs", "random_pure", "product"):
         return math.prod(_recipe_dims(params))
@@ -230,7 +240,7 @@ def make_state(recipe: StateRecipe) -> DensityMatrix:
             root = np.sqrt(np.clip(lam, 0.0, None))
             m = np.outer(root, root)
         else:
-            m = random_psd_unit_trace(int(params.get("d", 2)), rng)
+            m = random_psd_unit_trace(_number(params.get("d", 2), "d", int), rng)
         return maximally_correlated(m)
     if kind == "bell":
         return bell_state()
@@ -248,7 +258,7 @@ def make_state(recipe: StateRecipe) -> DensityMatrix:
         da, db = _recipe_dims(params)
         return tensor_product(random_hs_state((da,), rng), random_hs_state((db,), rng))
     if kind == "werner":
-        return werner_state(float(params.get("p", 1.0)))
+        return werner_state(_number(params.get("p", 1.0), "p", float))
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 

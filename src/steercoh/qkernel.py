@@ -4,7 +4,9 @@ Everything here works on explicit complex matrices for small multipartite
 systems. Subsystem structure is carried as a tuple of local dimensions, with
 subsystem 0 as the leftmost tensor factor (row-major Kronecker convention).
 States, bases and Kraus maps are validated to DEFAULT_TOL and must have
-finite entries. Measurements (steer, selective apply_kraus) return only the
+finite entries; a state the library derives from a validated one by a map
+that keeps states states (dephase, and coherence's change of frame) is not
+validated again. Measurements (steer, selective apply_kraus) return only the
 outcomes of probability at least ZERO_PROB.
 """
 
@@ -94,6 +96,27 @@ class DensityMatrix:
 
     def close_to(self, other: "DensityMatrix", atol: float = 1e-9) -> bool:
         return self.dims == other.dims and np.abs(self.data - other.data).max() <= atol
+
+    @classmethod
+    def _derived(cls, data: np.ndarray, dims: tuple) -> "DensityMatrix":
+        """A state the library derives from a validated one by a map that
+        keeps states states (a frame change, a pinching), taken without
+        validating it again; data is a fresh array, made read-only here."""
+        out = object.__new__(cls)
+        data = np.ascontiguousarray(data, dtype=complex)
+        data.flags.writeable = False
+        object.__setattr__(out, "data", data)
+        object.__setattr__(out, "dims", dims)
+        return out
+
+    def _cached(self, key: str, build):
+        """build(self), computed once per state and kept on it: a
+        DensityMatrix is immutable. The memo is not a field, so equality and
+        repr ignore it."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
 
 def maximally_mixed(dims) -> DensityMatrix:
@@ -291,7 +314,8 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, target: int = 0) -> Dens
     t = rho.data.reshape(pre, dt, post, pre, dt, post).transpose(0, 2, 3, 5, 1, 4)
     blocks = (t.reshape(-1, dt * dt) @ w) @ w.conj().T
     out = blocks.reshape(pre, post, pre, post, dt, dt).transpose(0, 4, 1, 2, 5, 3)
-    return DensityMatrix(out.reshape(rho.side, rho.side), rho.dims)
+    # a pinching of a validated state is a state
+    return DensityMatrix._derived(out.reshape(rho.side, rho.side), rho.dims)
 
 
 def _embed_on_subsystem(op: np.ndarray, dims, target: int) -> np.ndarray:

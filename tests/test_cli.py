@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import csv
 import hashlib
 import json
 
@@ -385,6 +386,20 @@ def test_compute_non_list_dims_exits_one(capsys):
     assert "error: invalid recipe: dims must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recipe,message", [
+    ('{"kind": "werner", "params": {"p": [1]}}', "p must be a number, got [1]"),
+    ('{"kind": "bell", "seed": [1]}', "seed must be a number, got [1]"),
+    ('{"kind": "bell", "params": 5}', "recipe params must be an object"),
+    # a 0-d coefficient matrix
+    ('{"kind": "maximally_correlated", "params": {"coeff_re": 1.0}}',
+     "coefficient matrix must be square"),
+], ids=["werner_p_list", "bell_seed_list", "bell_params_number", "coeff_re_scalar"])
+def test_recipe_field_of_the_wrong_json_type_exits_one(recipe, message, capsys):
+    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid recipe: {message}\n"
+
+
 @pytest.mark.parametrize("recipe,side", [
     ('{"kind": "random_hs", "params": {"dims": [200, 200]}}', 40000),
     ('{"kind": "maximally_correlated", "params": {"d": 200}}', 40000),
@@ -404,6 +419,19 @@ def test_recipe_dimension_cap_applies_before_the_state_is_built(
     monkeypatch.setattr(cli, "make_state", refuse)
     assert main(["compute", "coherence", "--recipe", recipe]) == 1
     assert f"total dimension {side} exceeds the cap of 64" in capsys.readouterr().err
+
+
+def test_sample_applies_the_dimension_cap_before_any_state_is_drawn(
+        monkeypatch, tmp_path, capsys):
+    def refuse(_):
+        raise AssertionError("make_state ran on a recipe above the cap")
+
+    monkeypatch.setattr(cli, "make_state", refuse)
+    out = tmp_path / "corpus"
+    recipe = '{"kind": "random_hs", "params": {"dims": [200, 200]}}'
+    assert main(["sample", "--recipe", recipe, "--n", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: total dimension 40000 exceeds the cap of 64\n"
+    assert not out.exists()
 
 
 def test_recipe_dimension_cap_also_applies_to_the_built_state(monkeypatch, capsys):
@@ -428,14 +456,17 @@ def test_csv_cells_match_the_json_payload(argv, rows_key, header_lines, tmp_path
     out = tmp_path / "out.csv"
     assert main(argv + ["--format", "csv", "--out", str(out)]) == code == 0
     lines = out.read_text().splitlines()
-    columns = lines[header_lines - 1].split(",")
+    table = list(csv.reader(lines[header_lines - 1:]))
+    columns = table[0]
     rows = payload[rows_key]
     assert len(lines) == header_lines + len(rows)
-    # cells are not quoted (the distances report's kind is "r,l1"), so the
-    # lines are compared whole
-    for i, (row, line) in enumerate(zip(rows, lines[header_lines:])):
+    # every row has one cell per column, a cell holding a comma (the
+    # distances report's kind "r,l1") quoted
+    for i, (row, cells) in enumerate(zip(rows, table[1:])):
         row = {"index": i, **row}
-        assert line == ",".join(_csv_cell(row[c]) if c in row else "" for c in columns)
+        assert cells == [_csv_cell(row[c]) if c in row else "" for c in columns]
+    if rows_key == "instances":
+        assert lines[-1].split(",")[2:4] == ['"r', 'l1"']
     if rows_key == "results":
         assert [r["quantity"] for r in rows] == ["coherence", "sie"]
         assert "kind" not in rows[1] and lines[2].startswith("sie,,")

@@ -66,7 +66,7 @@ from steercoh.sampling import (
     random_pure,
     random_state_nondegenerate_b,
 )
-from steercoh.twoqubit import PAULI, _steered_l1_block, _steered_l1_witness
+from steercoh.twoqubit import PAULI, _steered_l1_block, _steered_l1_witness, verify_theorem3
 
 # light search settings keep unit runs fast; the acceptance suite uses the
 # heavier defaults
@@ -165,6 +165,41 @@ def test_eigenbasis_family_skips_null_space():
     fam = EigenbasisFamily.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
     assert fam.n_params == 2
     assert len(fam.blocks) == 2
+
+
+def test_b_marginal_family_is_built_once_per_state(monkeypatch):
+    # the state keeps its B family, so theorem 1 (sic and b_side_mid) and
+    # theorem 3 (the closed form, sic and b_side_mid) each build it once,
+    # and they report what separate fresh copies of the state give
+    built = []
+    real = EigenbasisFamily.from_matrix.__func__
+
+    def counting(cls, mat):
+        built.append(1)
+        return real(cls, mat)
+
+    monkeypatch.setattr(EigenbasisFamily, "from_matrix", classmethod(counting))
+    rng = np.random.default_rng(43)
+    data = bell_diagonal_state(rng.dirichlet(np.ones(4))).data
+
+    def fresh():
+        return DensityMatrix(data, (2, 2))
+
+    rep = verify_theorem1(fresh(), "r", LIGHT, seed=5)
+    assert len(built) == 1
+    sic_res, mid_res = sic(fresh(), "r", LIGHT, 5), b_side_mid_detail(fresh(), "r", LIGHT, 5)
+    assert (rep.value_lhs.hex(), rep.value_rhs.hex(), rep.converged) == (
+        sic_res.value.hex(), mid_res.value.hex(), sic_res.converged and mid_res.converged)
+    built.clear()
+    rep = verify_theorem3(fresh(), LIGHT, seed=5)
+    assert len(built) == 1
+    sic_res = sic(fresh(), "l1", LIGHT, 5)
+    assert (rep.value_lhs.hex(), rep.value_rhs.hex(), rep.converged) == (
+        sic_res.value.hex(), sic_l1_closed(fresh()).hex(), sic_res.converged)
+    assert rep.details[2] == f"numeric_mid_t={b_side_mid(fresh(), 't', LIGHT, 5):.10f}"
+    rho = fresh()
+    _b_marginal_family(rho)
+    assert repr(rho) == repr(fresh())
 
 
 def test_eigenbasis_family_members_diagonalize():
@@ -741,7 +776,8 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
             out = correlations._search_frames(rho, frames, bob, kind, maxfun, "t")
             assert_lanes_are([reference(lambda x, f=f: _negated(f(x)), 2, maxfun)
                               for f in made], out, -1.0)
-    # a Bell-diagonal mid: the disturbance objective of each start frame
+    # a Bell-diagonal mid: one disturbance objective stacked over the start
+    # frames, whose one-lane views make the sequential runs
     made = kept("_disturbance_objective")
     rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
     fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
@@ -753,8 +789,11 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
         out, _, _ = correlations._minimize_eigenbases(
             lambda fa, fb: correlations._disturbance_objective(rho, fa, fb, kind),
             fam_a, fam_b, budget, 31)
-        assert_lanes_are([reference(obj, fam_a.n_params + fam_b.n_params, budget.outer_evals)
-                          for obj in made], out, 1.0)
+        (stacked,) = made
+        views = [lambda x, j=j: next(iter(stacked([x], [j])))
+                 for j in range(budget.outer_starts)]
+        assert_lanes_are([reference(view, fam_a.n_params + fam_b.n_params, budget.outer_evals)
+                          for view in views], out, 1.0)
 
 
 def test_general_objective_lanes_match_single_lane_calls():
@@ -985,6 +1024,44 @@ def test_disturbance_objective_gradient_matches_central_differences(name, kind):
             h = 1e-6
             fd = [(obj(phi + h * e)[0] - obj(phi - h * e)[0]) / (2 * h) for e in np.eye(n)]
             assert_allclose(grad, fd, rtol=0, atol=1e-7)
+
+
+def _bits(value, grad):
+    return float(value).hex(), np.asarray(grad, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["r", "t"])
+def test_stacked_disturbance_objective_lanes_do_not_depend_on_the_batch(kind):
+    # one lane's value and gradient are the same bits alone, in any subset
+    # of lanes and in the full stack, and the objective of that lane's
+    # families is the one-lane case. On rho_A (x) I/2 the r gap is rounding,
+    # and lanes below zero clip to 0 with a zero gradient.
+    kind = DistanceKind.parse(kind)
+    rng = np.random.default_rng(41)
+    states = _degenerate_states()
+    clipped = tensor_product(random_hs_state((3,), rng), DensityMatrix(np.eye(2) / 2, (2,)))
+    seen_clip = False
+    for rho in (states["werner"][0], states["3x2"][0], states["3x3"][0], clipped):
+        fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
+        fam_b = _b_marginal_family(rho)
+        for fa in (None, fam_a):
+            na = 0 if fa is None else fa.n_params
+            n = na + fam_b.n_params
+            starts = rng.normal(scale=1.2, size=(5, n))
+            fams_b = [fam_b.centred(x[na:]) for x in starts]
+            fams_a = None if fa is None else [fa.centred(x[:na]) for x in starts]
+            lanes = _disturbance_objective(rho, fams_a, fams_b, kind)
+            points = rng.normal(scale=1.2, size=(5, n)).tolist()
+            full = [_bits(*out) for out in lanes(points, list(range(5)))]
+            for idx in ([0], [1], [2], [3], [4], [0, 2, 4], [3, 1]):
+                got = lanes([points[j] for j in idx], idx)
+                assert [_bits(*out) for out in got] == [full[j] for j in idx]
+            for j in range(5):
+                one = _disturbance_objective(rho, None if fa is None else fams_a[j], fams_b[j],
+                                             kind)
+                assert _bits(*one(points[j])) == full[j]
+            seen_clip |= _bits(0.0, np.zeros(n)) in full
+    assert seen_clip == (kind is DistanceKind.RELATIVE_ENTROPY)
 
 
 def test_disturbance_searches_reach_bell_diagonal_closed_forms():
