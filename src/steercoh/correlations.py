@@ -280,18 +280,20 @@ def _turn_blocks(runs: list, frames: list, x) -> list:
     return charts
 
 
-def _pull_blocks(runs: list, charts: list, grads: list, out: np.ndarray) -> None:
-    """Write into out the gradient in the coordinates of _turn_blocks'
-    charts, given the gradient grads[side] in each side's turned frame (df =
-    Re tr(grad^dag dframe)); each run is one _chart_pullback call."""
-    for (_, at, blocks), (before, hw, hv) in zip(runs, charts):
+def _pull_blocks(runs: list, charts: list, grads: list) -> np.ndarray:
+    """The gradient in the coordinates of _turn_blocks' charts, given the
+    gradient grads[side] in each side's turned frame (df = Re tr(grad^dag
+    dframe)); each run is one _chart_pullback call."""
+    parts = []
+    for (_, _, blocks), (before, hw, hv) in zip(runs, charts):
         grad_u = [frame.conj().swapaxes(-1, -2) @ grads[side][..., idx]
                   for frame, (side, idx) in zip(before, blocks)]
         if len(blocks) == 1:
-            out[..., at] = _chart_pullback(hw, hv, grad_u[0])
+            parts.append(_chart_pullback(hw, hv, grad_u[0]))
         else:
             pulled = _chart_pullback(hw, hv, np.stack(grad_u, axis=-3))
-            out[..., at] = pulled.reshape(*out.shape[:-1], -1)
+            parts.append(pulled.reshape(*pulled.shape[:-2], -1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _b_marginal_family(rho: DensityMatrix) -> EigenbasisFamily:
@@ -845,9 +847,7 @@ def _disturbance_objective(rho: DensityMatrix, fam_a, fam_b, kind: DistanceKind)
         grad_b = np.einsum(contract_b, g, ua.conj())
         side_grads = [grad_b] if bases_a is None else [
             np.einsum("...abcd,...bd->...ac", g, ub.conj()) if na else None, grad_b]
-        grads = np.empty(x.shape)
-        _pull_blocks(runs, charts, side_grads, grads)
-        return values, grads
+        return values, _pull_blocks(runs, charts, side_grads)
 
     # The entropy gap is nonnegative: a lane below zero reads 0 with a zero
     # gradient, clipped on the floats each wrapper returns.
