@@ -44,6 +44,7 @@ from .measures import (
 )
 from .protocols import (
     StateRecipe,
+    _number,
     bell_diagonal_state,
     make_state,
     maximally_correlated,
@@ -474,7 +475,6 @@ def _sweep_rows(recipe: StateRecipe, grid, kind: DistanceKind,
                 qb_kind: DistanceKind, budget, seed: int) -> list:
     rows = []
     for v in grid:
-        v = float(v)
         if recipe.kind == "werner":
             state = werner_state(v)
         else:  # maximally_correlated over pure Schmidt weight
@@ -518,6 +518,8 @@ def cmd_sweep(args) -> int:
             f"recipe kind {recipe.kind!r} sweeps over {allowed[recipe.kind]!r}, "
             f"not {grid_name!r}",
         )
+    with _invalid_recipe():
+        grid = [_number(v, f"{grid_name} grid value", float) for v in grid]
     kind = DistanceKind.parse(args.kind)
     if kind is DistanceKind.TRACE_NORM:
         raise CliError(EXIT_VALIDATION, "sweep kinds are 'r' or 'l1'")

@@ -16,7 +16,11 @@ starts are the identity, the Fourier basis and Haar-random frames. Both
 Alice objectives (the two-qubit Bloch form and the general one) and the
 disturbance objective supply an analytic gradient in these coordinates and
 are optimized by an L-BFGS on plain floats, written as a generator of the
-points it evaluates (_lbfgs_points). One driver runs it: every gradient
+points it evaluates, in two kernels that make the same run bit for bit:
+_lbfgs_points_2 on scalar locals for a search of exactly two coordinates
+(a 2x2 Alice search, an eigenbasis search or Danskin lane over one 2-fold
+block), _lbfgs_points on float lists for every other size;
+the size of a start alone picks one. One driver runs them: every gradient
 search, full or light, runs all of its starts in lockstep (_lbfgs_lanes,
 handed to scipy's minimize as a custom method, one minimize call per
 search), and each start makes the run it would make alone. Each round
@@ -513,8 +517,9 @@ class _SearchOutcome(NamedTuple):
 # returned point exceeds this.
 GRAD_TOL = 1e-7
 
-# The gradient search (_lbfgs_points): L-BFGS as in Nocedal & Wright, Numerical
-# Optimization, ch. 3 and 7, with the curvature test and the restart after a
+# The gradient search (_lbfgs_points; _lbfgs_points_2 for two coordinates):
+# L-BFGS as in Nocedal & Wright, Numerical Optimization, ch. 3 and 7, with
+# the curvature test and the restart after a
 # failed line search of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 # Comput. 16, 1995). Its objectives have 2 to a few dozen coordinates, where
 # arithmetic on Python floats costs less than numpy calls on short arrays.
@@ -650,11 +655,106 @@ def _lbfgs_points(x: list, maxfun: int):
                           success=max(map(abs, g), default=0.0) <= GRAD_TOL)
 
 
+def _lbfgs_points_2(x: list, maxfun: int):
+    """_lbfgs_points for two coordinates, on scalar locals: the same
+    constants, control flow and float operations, so the same run bit for
+    bit. Each dot product is written out as sum() forms it, starting from
+    0.0 (so a -0.0 first product rounds as there), and the pairs are
+    (s0, s1, y0, y1, 1 / s.y) tuples. A 2x2 Alice search and a search over
+    one 2-fold eigenbasis block spend more on the list arithmetic of the
+    general kernel than on their objective.
+    """
+    x0, x1 = x
+    f, g = yield x
+    g0, g1 = g
+    nfev = 1
+    pairs = []  # (s0, s1, y0, y1, 1 / s.y), oldest first
+    gamma = 1.0  # s.y / y.y of the newest pair
+    while max(abs(g0), abs(g1)) > GRAD_TOL and nfev < maxfun:
+        # two-loop recursion for d = -H g
+        d0, d1 = -g0, -g1
+        alphas = []
+        for s0, s1, y0, y1, rho in reversed(pairs):
+            alpha = rho * (0.0 + s0 * d0 + s1 * d1)
+            d0, d1 = d0 - alpha * y0, d1 - alpha * y1
+            alphas.append(alpha)
+        d0, d1 = gamma * d0, gamma * d1
+        for (s0, s1, y0, y1, rho), alpha in zip(pairs, reversed(alphas)):
+            beta = alpha - rho * (0.0 + y0 * d0 + y1 * d1)
+            d0, d1 = d0 + beta * s0, d1 + beta * s1
+        slope = 0.0 + g0 * d0 + g1 * d1
+        norm = math.sqrt(0.0 + d0 * d0 + d1 * d1)
+        amax = STEP_MAX / norm
+        nxt = None
+        if slope < 0.0:
+            # line search along d from start (step 0), first trying step a
+            start = _Point(0.0, f, g, slope, x)
+            a = min(1.0 if pairs else 1.0 / norm, amax)
+            armijo = WOLFE_C1 * slope
+            curvature = -WOLFE_C2 * slope
+            lo, hi = start, None  # lo: the best point of sufficient decrease so far
+            width = width1 = math.inf  # bracket lengths one and two steps back
+            for _ in range(min(LS_MAX_EVALS, maxfun - nfev)):
+                if hi is not None:
+                    span = abs(hi.a - lo.a)
+                    a = _cubic_step(lo, hi)
+                    if a is None or span >= 0.66 * width1:
+                        a = 0.5 * (lo.a + hi.a)
+                    width1, width = width, span
+                    if not min(lo.a, hi.a) < a < max(lo.a, hi.a):
+                        break
+                xt = [x0 + a * d0, x1 + a * d1]
+                ft, gt = yield xt
+                nfev += 1
+                gt0, gt1 = gt
+                cur = _Point(a, ft, gt, 0.0 + gt0 * d0 + gt1 * d1, xt)
+                if cur.f > f + armijo * a or cur.f >= lo.f:
+                    hi = cur
+                elif abs(cur.slope) <= curvature:
+                    nxt = cur
+                    break
+                elif hi is None and cur.slope < 0.0:
+                    if a >= amax:
+                        nxt = cur
+                        break
+                    lo, a = cur, min(2.0 * a, amax)
+                else:
+                    if hi is None or cur.slope * (hi.a - lo.a) >= 0.0:
+                        hi = lo
+                    lo = cur
+            if nxt is None and lo is not start:
+                nxt = lo
+        if nxt is None:
+            if not pairs:
+                break
+            pairs.clear()
+            gamma = 1.0
+            continue
+        x, f, g = nxt.x, nxt.f, nxt.g
+        (n0, n1), (m0, m1) = x, g
+        s0, s1, y0, y1 = n0 - x0, n1 - x1, m0 - g0, m1 - g1
+        x0, x1, g0, g1 = n0, n1, m0, m1
+        sy = 0.0 + s0 * y0 + s1 * y1
+        # L-BFGS-B's curvature test, with -g.s = -a g.d
+        if sy > sys.float_info.epsilon * -nxt.a * slope:
+            if len(pairs) == LBFGS_MEMORY:
+                del pairs[0]
+            pairs.append((s0, s1, y0, y1, 1.0 / sy))
+            gamma = sy / (0.0 + y0 * y0 + y1 * y1)
+    return OptimizeResult(x=np.array(x), fun=f, jac=np.array(g), nfev=nfev,
+                          success=max(abs(g0), abs(g1)) <= GRAD_TOL)
+
+
 def _lbfgs_lanes(fun, x0, maxfun, lanes, **_):
-    """L-BFGS runs (_lbfgs_points) from `lanes` start points in lockstep, as
-    a custom method for scipy's minimize: x0 holds the starts back to back,
-    and lane j runs from start j with at most maxfun calls, the run it would
-    make alone. Every gradient search of the library is one call of it.
+    """L-BFGS runs from `lanes` start points in lockstep, as a custom method
+    for scipy's minimize: x0 holds the starts back to back, and lane j runs
+    from start j with at most maxfun calls, the run it would make alone.
+    Every gradient search of the library is one call of it.
+
+    Each lane is a generator of the points it evaluates: _lbfgs_points_2
+    when the starts have exactly two coordinates, _lbfgs_points for any
+    other count. The two kernels make the same run bit for bit; the choice
+    depends on nothing but the size of a start.
 
     Each round hands fun(points, idx) the pending points (lists of floats)
     of the lanes idx still running, and fun returns one (value, gradient
@@ -662,7 +762,8 @@ def _lbfgs_lanes(fun, x0, maxfun, lanes, **_):
     result is the best lane's (the first on ties), with `run` its index and
     nfev summed over all lanes.
     """
-    runs = [_lbfgs_points(x, maxfun) for x in x0.reshape(lanes, -1).tolist()]
+    kernel = _lbfgs_points_2 if x0.size == 2 * lanes else _lbfgs_points
+    runs = [kernel(x, maxfun) for x in x0.reshape(lanes, -1).tolist()]
     points = [next(run) for run in runs]
     idx = list(range(lanes))
     ends = [None] * lanes
@@ -1039,7 +1140,8 @@ def _danskin_objective(rho: DensityMatrix, alice: np.ndarray, fam: EigenbasisFam
     """
     da, db = rho.dims
     rot = _rotated(rho.data, alice, np.eye(db))
-    sigma = DensityMatrix(rot * np.kron(np.eye(da), np.ones((db, db))), rho.dims)
+    # Alice's pinching of the validated rho in her frame is a state
+    sigma = DensityMatrix._derived(rot * np.kron(np.eye(da), np.ones((db, db))), rho.dims)
     return _disturbance_objective(sigma, None, fam, kind)
 
 

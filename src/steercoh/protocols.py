@@ -192,6 +192,15 @@ def _number(value, what: str, cast):
         raise ValueError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array, for a recipe field; a value of the wrong JSON
+    type (an object) raises ValueError, as a ragged list does."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be an array of numbers, got {value!r}") from exc
+
+
 def _recipe_dims(params, default=(2, 2)):
     dims = params.get("dims", list(default))
     if not isinstance(dims, (list, tuple)):
@@ -208,11 +217,11 @@ def recipe_side(recipe: StateRecipe) -> int:
     if kind == "maximally_correlated":
         # the side d of the d x d coefficient matrix make_state assembles
         if "coeff_re" in params:
-            real = np.asarray(params["coeff_re"], dtype=float)
-            imag = np.asarray(params.get("coeff_im", real), dtype=float)
+            real = _floats(params["coeff_re"], "coeff_re")
+            imag = _floats(params.get("coeff_im", real), "coeff_im")
             d = max(np.broadcast_shapes(real.shape, imag.shape), default=1)
         elif "schmidt" in params:
-            d = np.asarray(params["schmidt"], dtype=float).size
+            d = _floats(params["schmidt"], "schmidt").size
         else:
             d = _number(params.get("d", 2), "d", int)
         return d * d
@@ -230,11 +239,11 @@ def make_state(recipe: StateRecipe) -> DensityMatrix:
     kind, params = recipe.kind, recipe.params
     if kind == "maximally_correlated":
         if "coeff_re" in params:
-            m = np.asarray(params["coeff_re"], dtype=float) + 1j * np.asarray(
-                params.get("coeff_im", np.zeros_like(params["coeff_re"])), dtype=float
+            m = _floats(params["coeff_re"], "coeff_re") + 1j * _floats(
+                params.get("coeff_im", np.zeros_like(params["coeff_re"])), "coeff_im"
             )
         elif "schmidt" in params:
-            lam = np.asarray(params["schmidt"], dtype=float)
+            lam = _floats(params["schmidt"], "schmidt")
             if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
                 raise ValueError("schmidt weights must be a probability vector")
             root = np.sqrt(np.clip(lam, 0.0, None))

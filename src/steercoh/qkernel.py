@@ -5,8 +5,9 @@ systems. Subsystem structure is carried as a tuple of local dimensions, with
 subsystem 0 as the leftmost tensor factor (row-major Kronecker convention).
 States, bases and Kraus maps are validated to DEFAULT_TOL and must have
 finite entries; a state the library derives from a validated one by a map
-that keeps states states (dephase, and coherence's change of frame) is not
-validated again. Measurements (steer, selective apply_kraus) return only the
+that keeps states states (dephase, coherence's change of frame, and the
+state sigma that Alice's measurement leaves in correlations'
+_danskin_objective) is not validated again. Measurements (steer, selective apply_kraus) return only the
 outcomes of probability at least ZERO_PROB.
 """
 

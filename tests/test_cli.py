@@ -386,16 +386,22 @@ def test_compute_non_list_dims_exits_one(capsys):
     assert "error: invalid recipe: dims must be a list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("recipe,message", [
-    ('{"kind": "werner", "params": {"p": [1]}}', "p must be a number, got [1]"),
-    ('{"kind": "bell", "seed": [1]}', "seed must be a number, got [1]"),
-    ('{"kind": "bell", "params": 5}', "recipe params must be an object"),
+@pytest.mark.parametrize("command,recipe,message", [
+    ("compute coherence", '{"kind": "werner", "params": {"p": [1]}}',
+     "p must be a number, got [1]"),
+    ("compute coherence", '{"kind": "bell", "seed": [1]}', "seed must be a number, got [1]"),
+    ("compute coherence", '{"kind": "bell", "params": 5}', "recipe params must be an object"),
     # a 0-d coefficient matrix
-    ('{"kind": "maximally_correlated", "params": {"coeff_re": 1.0}}',
+    ("compute coherence", '{"kind": "maximally_correlated", "params": {"coeff_re": 1.0}}',
      "coefficient matrix must be square"),
-], ids=["werner_p_list", "bell_seed_list", "bell_params_number", "coeff_re_scalar"])
-def test_recipe_field_of_the_wrong_json_type_exits_one(recipe, message, capsys):
-    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    ("sweep", '{"kind": "werner", "params": {"p": [[1], 0.5]}}',
+     "p grid value must be a number, got [1]"),
+    ("compute sic", '{"kind": "maximally_correlated", "params": {"schmidt": {"a": 1}}}',
+     "schmidt must be an array of numbers, got {'a': 1}"),
+], ids=["werner_p_list", "bell_seed_list", "bell_params_number", "coeff_re_scalar",
+        "sweep_grid_entry_list", "schmidt_object"])
+def test_recipe_field_of_the_wrong_json_type_exits_one(command, recipe, message, capsys):
+    assert main([*command.split(), "--recipe", recipe]) == 1
     err = capsys.readouterr().err
     assert err == f"error: invalid recipe: {message}\n"
 

@@ -35,6 +35,7 @@ from steercoh import (
     mid_detail,
     partial_trace,
     pauli_decompose,
+    ree_numeric,
     sic,
     sic_l1_closed,
     tensor_product,
@@ -670,6 +671,130 @@ def test_lbfgs_run_is_the_same_for_list_and_array_gradients():
         assert ours.success
 
 
+def _kernel_run(kernel, fn, x0, maxfun):
+    """One run of an L-BFGS kernel generator on fn, driven as _lanes_of
+    drives a lane, and what it did, read off its locals at each point it
+    yields: steps accepted, pairs stored, steps whose pair the curvature
+    test rejected, times the pairs were dropped, trial steps at the
+    STEP_MAX cap and the most pairs held at once."""
+    run = kernel(list(map(float, x0)), maxfun)
+    point = next(run)
+    seen = dict.fromkeys(("accepted", "stored", "rejected", "dropped", "capped", "held"), 0)
+    x = newest = None
+    held = 0
+    try:
+        while True:
+            local = run.gi_frame.f_locals
+            pairs = local.get("pairs", [])
+            top = pairs[-1] if pairs else None
+            if x is not None and local["x"] is not x:
+                # one step is accepted between two points at most
+                seen["accepted"] += 1
+                seen["stored" if top is not None and top is not newest else "rejected"] += 1
+            seen["dropped"] += held > 0 and not pairs
+            x, newest, held = local["x"], top, len(pairs)
+            seen["capped"] += abs(math.dist(point, x) - correlations.STEP_MAX) <= 1e-9
+            seen["held"] = max(seen["held"], held)
+            f, g = fn(np.array(point))
+            point = run.send((float(f), np.asarray(g, dtype=float).tolist()))
+    except StopIteration as stop:
+        return stop.value, seen
+
+
+def _biased_quadratic(x):
+    """x0^2 + 3 x1^2 with 1e-3 added to the first gradient component: near
+    the origin no step along the reported descent direction decreases the
+    value, so line searches fail."""
+    return x[0] ** 2 + 3.0 * x[1] ** 2, np.array([2.0 * x[0] + 1e-3, 6.0 * x[1]])
+
+
+def _himmelblau(x):
+    """Himmelblau's function, with regions of negative curvature."""
+    u, v = x[0] ** 2 + x[1] - 11.0, x[0] + x[1] ** 2 - 7.0
+    return u * u + v * v, [4.0 * x[0] * u + 2.0 * v, 2.0 * u + 4.0 * x[1] * v]
+
+
+def _far_quadratic(x):
+    """A flat quadratic whose minimizer is about 47 chart units away."""
+    scale, xmin = np.array([1e-3, 2e-3]), np.array([40.0, -25.0])
+    return 0.5 * scale @ (x - xmin) ** 2, scale * (x - xmin)
+
+
+@pytest.mark.parametrize("case", ["stationary", "memory", "failed_search", "curvature",
+                                  "step_cap", "maxfun"])
+def test_two_coordinate_kernel_matches_the_general_kernel_on_every_branch(case):
+    # the scalar kernel, the general kernel run on two coordinates and the
+    # reference loop make the same run bit for bit, on an objective that
+    # takes the branch named by the case
+    square, xmin = _quadratic(np.random.default_rng(22), 2)
+    fn, x0, maxfun = {
+        "stationary": (square, xmin.tolist(), 2000),
+        "memory": (lambda x: (rosen(x), rosen_der(x)), [-3.0, -4.0], 2000),
+        "failed_search": (_biased_quadratic, [0.7, -0.4], 2000),
+        # two pairs rejected, one while other pairs are held
+        "curvature": (_himmelblau, [0.5, -0.4], 2000),
+        "step_cap": (_far_quadratic, [0.0, 0.0], 2000),
+        # the cut falls inside a line search
+        "maxfun": (lambda x: (rosen(x), rosen_der(x)), [-1.2, 1.0], 16),
+    }[case]
+    ours, seen = _kernel_run(correlations._lbfgs_points_2, fn, x0, maxfun)
+    general, general_seen = _kernel_run(correlations._lbfgs_points, fn, x0, maxfun)
+    _assert_same(ours, general)
+    assert seen == general_seen
+    _assert_same(ours, minimize(fn, np.array(x0), method=_reference_lbfgs,
+                                options={"maxfun": maxfun}))
+    _assert_same(ours, _run_lbfgs(fn, x0, maxfun))
+    if case == "stationary":
+        assert ours.nfev == 1 and ours.success
+    elif case == "memory":
+        assert ours.success
+        assert seen["stored"] > correlations.LBFGS_MEMORY == seen["held"]
+    elif case == "failed_search":
+        # the pairs are dropped, the search along -g fails too, and the run
+        # stops unconverged inside its budget
+        assert seen["dropped"] >= 1
+        assert not ours.success and ours.nfev < maxfun
+    elif case == "curvature":
+        assert ours.success and seen["rejected"] >= 1
+    elif case == "step_cap":
+        assert ours.success and seen["capped"] >= 1
+    else:
+        assert ours.nfev == maxfun and not ours.success
+
+
+def test_only_two_coordinate_searches_run_the_scalar_kernel(monkeypatch):
+    # every search of two coordinates runs _lbfgs_points_2, every other
+    # search _lbfgs_points: Alice on 2x2 and 3x2, one-sided and two-sided
+    # disturbances, the Danskin lanes of a degenerate sic, and the REE search
+    sizes = {"_lbfgs_points": [], "_lbfgs_points_2": []}
+
+    def counted(name):
+        real = getattr(correlations, name)
+
+        def run(x, maxfun):
+            sizes[name].append(len(x))
+            return (yield from real(x, maxfun))
+
+        return run
+
+    for name in sizes:
+        monkeypatch.setattr(correlations, name, counted(name))
+    rng = np.random.default_rng(32)
+    budget = SearchBudget(starts=3, max_evals=60, outer_starts=2, outer_evals=20,
+                          refine_evals=20)
+    sic(random_state_nondegenerate_b((2, 2), rng), "r", budget)
+    sic(random_state_nondegenerate_b((3, 2), rng), "r", budget)
+    bell = bell_diagonal_state([0.4, 0.3, 0.2, 0.1])
+    b_side_mid(bell, "r", budget)
+    mid(bell, "r", budget)
+    sic(werner_state(0.6), "r", budget)
+    mixed = DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3))
+    b_side_mid(mixed, "r", budget)
+    ree_numeric(werner_state(0.6), SearchBudget(starts=1, max_evals=5))
+    assert sizes["_lbfgs_points_2"] and set(sizes["_lbfgs_points_2"]) == {2}
+    assert set(sizes["_lbfgs_points"]) == {4, 6, 64}
+
+
 def _a_classical_state(dims, rng):
     """sum_i p_i |i><i| (x) rho_i: Alice's computational basis is stationary
     for every objective (a first-order basis change leaves each |u_k(i)|^2
@@ -690,14 +815,16 @@ def _lane_frames(da, rng):
 
 
 def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
-    real = correlations._lbfgs_points
-    lanes = []  # the result of each run, in the order the runs start
+    lanes = []  # the result of each run of either kernel, in the order the runs start
 
-    def recorded(x, maxfun):
-        slot = len(lanes)
-        lanes.append(None)
-        lanes[slot] = yield from real(x, maxfun)
-        return lanes[slot]
+    def recorded(real):
+        def run(x, maxfun):
+            slot = len(lanes)
+            lanes.append(None)
+            lanes[slot] = yield from real(x, maxfun)
+            return lanes[slot]
+
+        return run
 
     def kept(name):
         """The objectives the factory correlations.<name> makes from now
@@ -715,7 +842,8 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
     def reference(fn, n, maxfun):
         return minimize(fn, np.zeros(n), method=_reference_lbfgs, options={"maxfun": maxfun})
 
-    monkeypatch.setattr(correlations, "_lbfgs_points", recorded)
+    for name in ("_lbfgs_points", "_lbfgs_points_2"):
+        monkeypatch.setattr(correlations, name, recorded(getattr(correlations, name)))
     rng = np.random.default_rng(28)
     maxfun = 500
     for dims in ((3, 2), (2, 3), (3, 3)):
@@ -776,24 +904,26 @@ def test_lbfgs_lanes_make_the_sequential_runs(monkeypatch):
             out = correlations._search_frames(rho, frames, bob, kind, maxfun, "t")
             assert_lanes_are([reference(lambda x, f=f: _negated(f(x)), 2, maxfun)
                               for f in made], out, -1.0)
-    # a Bell-diagonal mid: one disturbance objective stacked over the start
-    # frames, whose one-lane views make the sequential runs
+    # a Bell-diagonal mid (4 coordinates) and b_side_mid (2): one disturbance
+    # objective stacked over the start frames, whose one-lane views make the
+    # sequential runs
     made = kept("_disturbance_objective")
     rho = bell_diagonal_state(rng.dirichlet(np.ones(4)))
-    fam_a = EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data)
     fam_b = _b_marginal_family(rho)
     budget = SearchBudget(outer_starts=4, outer_evals=300)
-    for kind in (DistanceKind.RELATIVE_ENTROPY, DistanceKind.TRACE_NORM):
-        made.clear()
-        lanes.clear()
-        out, _, _ = correlations._minimize_eigenbases(
-            lambda fa, fb: correlations._disturbance_objective(rho, fa, fb, kind),
-            fam_a, fam_b, budget, 31)
-        (stacked,) = made
-        views = [lambda x, j=j: next(iter(stacked([x], [j])))
-                 for j in range(budget.outer_starts)]
-        assert_lanes_are([reference(view, fam_a.n_params + fam_b.n_params, budget.outer_evals)
-                          for view in views], out, 1.0)
+    for fam_a in (EigenbasisFamily.from_matrix(partial_trace(rho, [0]).data), None):
+        n = fam_b.n_params + (0 if fam_a is None else fam_a.n_params)
+        for kind in (DistanceKind.RELATIVE_ENTROPY, DistanceKind.TRACE_NORM):
+            made.clear()
+            lanes.clear()
+            out, _, _ = correlations._minimize_eigenbases(
+                lambda fa, fb: correlations._disturbance_objective(rho, fa, fb, kind),
+                fam_a, fam_b, budget, 31)
+            (stacked,) = made
+            views = [lambda x, j=j: next(iter(stacked([x], [j])))
+                     for j in range(budget.outer_starts)]
+            assert_lanes_are([reference(view, n, budget.outer_evals) for view in views],
+                             out, 1.0)
 
 
 def test_general_objective_lanes_match_single_lane_calls():
@@ -1280,6 +1410,25 @@ def test_danskin_gradient_matches_central_differences_at_a_fixed_witness():
             h = 1e-6
             fd = [(outer(phi + h * e) - outer(phi - h * e)) / (2 * h) for e in np.eye(n)]
             assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
+def test_danskin_objective_does_not_validate_the_state_alice_leaves(monkeypatch):
+    # sigma, Alice's pinching of the validated rho, is taken unvalidated and
+    # gives the bits of the validated sigma
+    rng = np.random.default_rng(33)
+    rho = werner_state(0.6)
+    fam = _b_marginal_family(rho)
+    alice = haar_unitary(2, rng)
+    phi = rng.normal(scale=1.2, size=fam.n_params)
+    rot = _rotated(rho.data, alice, np.eye(2))
+    sigma = DensityMatrix(rot * np.kron(np.eye(2), np.ones((2, 2))), rho.dims)
+    validated = _disturbance_objective(sigma, None, fam, DistanceKind.RELATIVE_ENTROPY)(phi)
+    made = []
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: made.append(self))
+    value, grad = _danskin_objective(rho, alice, fam, DistanceKind.RELATIVE_ENTROPY)(phi)
+    assert made == []
+    assert value.hex() == validated[0].hex()
+    assert grad.tobytes() == validated[1].tobytes()
 
 
 def test_outer_search_reaches_the_bell_diagonal_l1_minimum():
