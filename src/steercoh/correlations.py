@@ -19,8 +19,8 @@ are optimized by an L-BFGS on plain floats, written as a generator of the
 points it evaluates, in two kernels that make the same run bit for bit:
 _lbfgs_points_2 on scalar locals for a search of exactly two coordinates
 (a 2x2 Alice search, an eigenbasis search or Danskin lane over one 2-fold
-block), _lbfgs_points on float lists for every other size;
-the size of a start alone picks one. One driver runs them: every gradient
+block), _lbfgs_points on float lists for every other size. The size of a
+start alone picks one. One driver runs them: every gradient
 search, full or light, runs all of its starts in lockstep (_lbfgs_lanes,
 handed to scipy's minimize as a custom method, one minimize call per
 search), and each start makes the run it would make alone. Each round
@@ -519,10 +519,10 @@ GRAD_TOL = 1e-7
 
 # The gradient search (_lbfgs_points; _lbfgs_points_2 for two coordinates):
 # L-BFGS as in Nocedal & Wright, Numerical Optimization, ch. 3 and 7, with
-# the curvature test and the restart after a
-# failed line search of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
-# Comput. 16, 1995). Its objectives have 2 to a few dozen coordinates, where
-# arithmetic on Python floats costs less than numpy calls on short arrays.
+# the curvature test and the restart after a failed line search of L-BFGS-B
+# (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995). Its objectives
+# have 2 to a few dozen coordinates, where arithmetic on Python floats costs
+# less than numpy calls on short arrays.
 LBFGS_MEMORY = 10  # (s, y) pairs kept
 WOLFE_C1 = 1e-4  # sufficient decrease
 WOLFE_C2 = 0.9  # curvature

@@ -7,8 +7,8 @@ States, bases and Kraus maps are validated to DEFAULT_TOL and must have
 finite entries; a state the library derives from a validated one by a map
 that keeps states states (dephase, coherence's change of frame, and the
 state sigma that Alice's measurement leaves in correlations'
-_danskin_objective) is not validated again. Measurements (steer, selective apply_kraus) return only the
-outcomes of probability at least ZERO_PROB.
+_danskin_objective) is not validated again. Measurements (steer, selective
+apply_kraus) return only the outcomes of probability at least ZERO_PROB.
 """
 
 from __future__ import annotations

@@ -788,8 +788,8 @@ def test_only_two_coordinate_searches_run_the_scalar_kernel(monkeypatch):
     b_side_mid(bell, "r", budget)
     mid(bell, "r", budget)
     sic(werner_state(0.6), "r", budget)
-    mixed = DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3))
-    b_side_mid(mixed, "r", budget)
+    entangled = DensityMatrix.from_pure(np.eye(3).reshape(-1) / np.sqrt(3.0), (3, 3))
+    b_side_mid(entangled, "r", budget)
     ree_numeric(werner_state(0.6), SearchBudget(starts=1, max_evals=5))
     assert sizes["_lbfgs_points_2"] and set(sizes["_lbfgs_points_2"]) == {2}
     assert set(sizes["_lbfgs_points"]) == {4, 6, 64}
