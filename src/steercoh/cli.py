@@ -44,21 +44,19 @@ from .measures import (
 )
 from .protocols import (
     StateRecipe,
-    _number,
     bell_diagonal_state,
     make_state,
-    maximally_correlated,
     recipe_side,
     rho_x_finding,
     steering_induced_entanglement,
     verify_corollary1,
     verify_theorem2,
-    werner_state,
 )
 from .qkernel import (
     DensityMatrix,
     InvalidStateError,
     ProjectiveBasis,
+    _number,
     atomic_write_text,
     load_state,
     save_state,
@@ -471,17 +469,18 @@ def cmd_verify(args) -> int:
 # sweep
 
 
+# each sweepable recipe kind: its grid parameter, and the params at a grid value
+_SWEEPS = {
+    "werner": ("p", lambda v: {"p": v}),
+    "maximally_correlated": ("lambda0", lambda v: {"schmidt": [v, 1.0 - v]}),
+}
+
+
 def _sweep_rows(recipe: StateRecipe, grid, kind: DistanceKind,
                 qb_kind: DistanceKind, budget, seed: int) -> list:
     rows = []
     for v in grid:
-        if recipe.kind == "werner":
-            state = werner_state(v)
-        else:  # maximally_correlated over pure Schmidt weight
-            if not 0.0 <= v <= 1.0:
-                raise CliError(EXIT_VALIDATION, "lambda0 grid values must lie in [0, 1]")
-            root = np.sqrt([v, 1.0 - v])
-            state = maximally_correlated(np.outer(root, root))
+        state = make_state(StateRecipe(recipe.kind, _SWEEPS[recipe.kind][1](v)))
         sic_res = sic(state, kind, budget, seed)
         qb_res = b_side_mid_detail(state, qb_kind, budget, seed)
         rows.append(
@@ -509,17 +508,18 @@ def cmd_sweep(args) -> int:
     (grid_name, grid), = grids.items()
     if len(grid) == 0:
         raise CliError(EXIT_VALIDATION, "sweep grid is empty")
-    allowed = {"werner": "p", "maximally_correlated": "lambda0"}
-    if recipe.kind not in allowed:
+    if recipe.kind not in _SWEEPS:
         raise CliError(EXIT_VALIDATION, f"recipe kind {recipe.kind!r} is not sweepable")
-    if grid_name != allowed[recipe.kind]:
+    swept = _SWEEPS[recipe.kind][0]
+    if grid_name != swept:
         raise CliError(
             EXIT_VALIDATION,
-            f"recipe kind {recipe.kind!r} sweeps over {allowed[recipe.kind]!r}, "
-            f"not {grid_name!r}",
+            f"recipe kind {recipe.kind!r} sweeps over {swept!r}, not {grid_name!r}",
         )
     with _invalid_recipe():
         grid = [_number(v, f"{grid_name} grid value", float) for v in grid]
+    if grid_name == "lambda0" and not all(0.0 <= v <= 1.0 for v in grid):
+        raise CliError(EXIT_VALIDATION, "lambda0 grid values must lie in [0, 1]")
     kind = DistanceKind.parse(args.kind)
     if kind is DistanceKind.TRACE_NORM:
         raise CliError(EXIT_VALIDATION, "sweep kinds are 'r' or 'l1'")

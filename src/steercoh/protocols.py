@@ -10,6 +10,7 @@ relative entropy of entanglement has the closed form S(B) - S(BC).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from .qkernel import (
     KrausMap,
     ProjectiveBasis,
     _entropy_rows,
+    _number,
     apply_kraus,
     eig_hermitian,  # noqa: F401  (unused here; perfbench/tracer.py rebinds it)
     entropy_of_probs,
@@ -60,18 +62,6 @@ from .sampling import (
 )
 
 PURITY_TOL = 1e-9
-
-RECIPE_KINDS = (
-    "maximally_correlated",
-    "bell",
-    "gap_example",
-    "rho_x",
-    "b_classical",
-    "random_hs",
-    "random_pure",
-    "product",
-    "werner",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +151,7 @@ class StateRecipe:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in RECIPE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _RECIPES:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
 
     def to_json(self) -> str:
@@ -183,15 +173,6 @@ class StateRecipe:
                    seed=_number(payload.get("seed", 0), "seed", int))
 
 
-def _number(value, what: str, cast):
-    """cast(value) for a recipe field; a value of the wrong JSON type (a
-    list, an object) raises ValueError, as a malformed number does."""
-    try:
-        return cast(value)
-    except TypeError as exc:
-        raise ValueError(f"{what} must be a number, got {value!r}") from exc
-
-
 def _floats(value, what: str) -> np.ndarray:
     """value as a float array, for a recipe field; a value of the wrong JSON
     type (an object) raises ValueError, as a ragged list does."""
@@ -201,74 +182,78 @@ def _floats(value, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be an array of numbers, got {value!r}") from exc
 
 
-def _recipe_dims(params, default=(2, 2)):
-    dims = params.get("dims", list(default))
-    if not isinstance(dims, (list, tuple)):
-        raise ValueError("dims must be a list of subsystem dimensions")
-    dims = tuple(_number(d, "a subsystem dimension", int) for d in dims)
-    if any(d < 2 for d in dims):
-        raise ValueError("every subsystem dimension must be at least 2")
-    return dims
+def _maximally_correlated_recipe(*, coeff_re=None, coeff_im=0.0, schmidt=None, d=2):
+    """The coefficient matrix coeff_re + i coeff_im, else the pure state of
+    Schmidt weights schmidt, else a random d x d coefficient matrix."""
+    if coeff_re is not None:
+        real, imag = _floats(coeff_re, "coeff_re"), _floats(coeff_im, "coeff_im")
+        side = max(np.broadcast_shapes(real.shape, imag.shape), default=1)
+        return side * side, lambda rng: maximally_correlated(real + 1j * imag)
+    if schmidt is not None:
+        lam = _floats(schmidt, "schmidt")
+        if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
+            raise ValueError("schmidt weights must be a probability vector")
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        return root.size ** 2, lambda rng: maximally_correlated(np.outer(root, root))
+    d = _number(d, "d", int)
+    return d * d, lambda rng: maximally_correlated(random_psd_unit_trace(d, rng))
+
+
+def _werner_recipe(*, p=1.0):
+    p = _number(p, "p", float)
+    return 4, lambda rng: werner_state(p)
+
+
+def _drawn(draw, parties: int | None = None):
+    """A kind drawn as draw(dims, rng), on `parties` subsystems if that is set."""
+    def parse(*, dims=(2, 2)):
+        if not isinstance(dims, (list, tuple)):
+            raise ValueError("dims must be a list of subsystem dimensions")
+        dims = tuple(_number(d, "a subsystem dimension", int) for d in dims)
+        if any(d < 2 for d in dims):
+            raise ValueError("every subsystem dimension must be at least 2")
+        if parties is not None and len(dims) != parties:
+            raise ValueError(f"dims must list {parties} subsystem dimensions, got {len(dims)}")
+        return math.prod(dims), lambda rng: draw(dims, rng)
+
+    return parse
+
+
+# each recipe kind: a function of its parameters, keywords with their defaults,
+# that parses them and returns (total dimension, build), allocating nothing of
+# the state's size; build(rng) makes the state
+_RECIPES = {
+    "maximally_correlated": _maximally_correlated_recipe,
+    "bell": lambda: (4, lambda rng: bell_state()),
+    "gap_example": lambda: (4, lambda rng: gap_example()),
+    "rho_x": lambda: (8, lambda rng: rho_x_state()),
+    "b_classical": _drawn(random_b_classical, parties=2),
+    "random_hs": _drawn(random_hs_state),
+    "random_pure": _drawn(random_pure),
+    "product": _drawn(lambda dims, rng: tensor_product(
+        random_hs_state(dims[:1], rng), random_hs_state(dims[1:], rng)), parties=2),
+    "werner": _werner_recipe,
+}
+
+
+def _side_and_build(recipe: StateRecipe):
+    """(total dimension, build) from the recipe kind's entry in _RECIPES; a
+    parameter the kind does not take raises ValueError naming it."""
+    parse = _RECIPES[recipe.kind]
+    taken = inspect.signature(parse).parameters
+    for name in recipe.params:
+        if name not in taken:
+            raise ValueError(f"recipe kind {recipe.kind!r} takes no parameter {name!r}")
+    return parse(**recipe.params)
 
 
 def recipe_side(recipe: StateRecipe) -> int:
     """Total dimension of make_state(recipe), found without building it."""
-    kind, params = recipe.kind, recipe.params
-    if kind == "maximally_correlated":
-        # the side d of the d x d coefficient matrix make_state assembles
-        if "coeff_re" in params:
-            real = _floats(params["coeff_re"], "coeff_re")
-            imag = _floats(params.get("coeff_im", real), "coeff_im")
-            d = max(np.broadcast_shapes(real.shape, imag.shape), default=1)
-        elif "schmidt" in params:
-            d = _floats(params["schmidt"], "schmidt").size
-        else:
-            d = _number(params.get("d", 2), "d", int)
-        return d * d
-    if kind in ("b_classical", "random_hs", "random_pure", "product"):
-        return math.prod(_recipe_dims(params))
-    if kind == "rho_x":
-        return 8
-    if kind in ("bell", "gap_example", "werner"):
-        return 4
-    raise ValueError(f"no size known for recipe kind {kind!r}")
+    return _side_and_build(recipe)[0]
 
 
 def make_state(recipe: StateRecipe) -> DensityMatrix:
-    rng = np.random.default_rng(recipe.seed)
-    kind, params = recipe.kind, recipe.params
-    if kind == "maximally_correlated":
-        if "coeff_re" in params:
-            m = _floats(params["coeff_re"], "coeff_re") + 1j * _floats(
-                params.get("coeff_im", np.zeros_like(params["coeff_re"])), "coeff_im"
-            )
-        elif "schmidt" in params:
-            lam = _floats(params["schmidt"], "schmidt")
-            if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
-                raise ValueError("schmidt weights must be a probability vector")
-            root = np.sqrt(np.clip(lam, 0.0, None))
-            m = np.outer(root, root)
-        else:
-            m = random_psd_unit_trace(_number(params.get("d", 2), "d", int), rng)
-        return maximally_correlated(m)
-    if kind == "bell":
-        return bell_state()
-    if kind == "gap_example":
-        return gap_example()
-    if kind == "rho_x":
-        return rho_x_state()
-    if kind == "b_classical":
-        return random_b_classical(_recipe_dims(params), rng)
-    if kind == "random_hs":
-        return random_hs_state(_recipe_dims(params), rng)
-    if kind == "random_pure":
-        return random_pure(_recipe_dims(params), rng)
-    if kind == "product":
-        da, db = _recipe_dims(params)
-        return tensor_product(random_hs_state((da,), rng), random_hs_state((db,), rng))
-    if kind == "werner":
-        return werner_state(_number(params.get("p", 1.0), "p", float))
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    return _side_and_build(recipe)[1](np.random.default_rng(recipe.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,18 @@ def _as_square_complex(m) -> np.ndarray:
     return a
 
 
+def _number(value, what: str, cast):
+    """cast(value) for a field read from JSON. A value of the wrong JSON type
+    (a list, an object) raises ValueError, as a malformed number does; so
+    does a fractional or non-finite number when cast is int."""
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return cast(value)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     # every later check compares with `>`, which is False for NaN
     if not np.isfinite(a).all():
@@ -385,6 +397,8 @@ def state_from_dict(payload: dict) -> DensityMatrix:
         raise ValueError(f"malformed state payload: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
+    dims = [_number(d, "a subsystem dimension", int)
+            for d in (dims if np.iterable(dims) else (dims,))]
     return DensityMatrix(re + 1j * im, dims)
 
 

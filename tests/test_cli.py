@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from steercoh import bell_state, load_state, prepare_protocol_state, save_state, state_to_dict
+from steercoh import (bell_state, load_state, maximally_mixed, prepare_protocol_state, save_state,
+                      state_to_dict)
 from steercoh import cli
 from steercoh.cli import main
 from steercoh.sampling import random_hs_state
@@ -137,8 +138,22 @@ def test_compute_validation_exit_codes(tmp_path):
     assert main(["compute", "theta", "--recipe", '{"kind": "rho_x"}']) == 1
     assert main(["compute", "sie", "--recipe", BELL_RECIPE]) == 1
     assert main(["compute", "sic", "--recipe", '{"kind": "ghz"}']) == 1
+    assert main(["compute", "coherence", "--recipe",
+                 '{"kind": "werner", "params": {"q": 0.2}}']) == 1  # not a werner parameter
     big = '{"kind": "random_hs", "params": {"dims": [9, 8]}}'
     assert main(["compute", "coherence", "--recipe", big]) == 1  # above dim cap
+
+
+@pytest.mark.parametrize("dims,shown", [(float("inf"), "inf"), (2.5, "2.5")])
+def test_compute_rejects_a_state_file_with_a_non_integer_dimension(dims, shown, tmp_path,
+                                                                   capsys):
+    payload = state_to_dict(maximally_mixed((2,)))
+    payload["dims"] = [dims]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert main(["compute", "coherence", "--state", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid state file: a subsystem dimension must be an integer, got {shown}\n")
 
 
 def test_compute_rejects_a_state_file_with_nan(tmp_path, capsys):
@@ -398,8 +413,18 @@ def test_compute_non_list_dims_exits_one(capsys):
      "p grid value must be a number, got [1]"),
     ("compute sic", '{"kind": "maximally_correlated", "params": {"schmidt": {"a": 1}}}',
      "schmidt must be an array of numbers, got {'a': 1}"),
+    # an integer field is neither truncated nor overflows
+    ("compute coherence", '{"kind": "bell", "seed": Infinity}',
+     "seed must be an integer, got inf"),
+    ("compute coherence", '{"kind": "random_hs", "params": {"dims": [Infinity, 2]}}',
+     "a subsystem dimension must be an integer, got inf"),
+    ("compute coherence", '{"kind": "maximally_correlated", "params": {"d": Infinity}}',
+     "d must be an integer, got inf"),
+    ("compute coherence", '{"kind": "random_hs", "params": {"dims": [2.7, 2]}}',
+     "a subsystem dimension must be an integer, got 2.7"),
 ], ids=["werner_p_list", "bell_seed_list", "bell_params_number", "coeff_re_scalar",
-        "sweep_grid_entry_list", "schmidt_object"])
+        "sweep_grid_entry_list", "schmidt_object", "seed_infinite", "dims_infinite",
+        "d_infinite", "dims_fractional"])
 def test_recipe_field_of_the_wrong_json_type_exits_one(command, recipe, message, capsys):
     assert main([*command.split(), "--recipe", recipe]) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Named states, recipes, the copy-gate protocol and entanglement bounds."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,24 +156,34 @@ def test_bell_diagonal_state_mixes_explicit_bell_projectors():
         bell_diagonal_state([0.5, 0.5])
 
 
-def test_recipe_round_trip_for_every_kind():
-    params = {
-        "maximally_correlated": {"schmidt": [0.3, 0.7]},
-        "bell": {},
-        "gap_example": {},
-        "rho_x": {},
-        "b_classical": {"dims": [2, 2]},
-        "random_hs": {"dims": [2, 3]},
-        "random_pure": {"dims": [2, 2]},
-        "product": {"dims": [2, 2]},
-        "werner": {"p": 0.5},
-    }
-    for kind, p in params.items():
-        recipe = StateRecipe(kind, p, seed=7)
-        back = StateRecipe.from_json(recipe.to_json())
-        assert back == recipe
-        rho = make_state(back)
-        assert make_state(recipe).close_to(rho, atol=1e-12)
+# sample params for every recipe kind, each kind's first in the round trip
+RECIPE_EXAMPLES = {
+    "maximally_correlated": [
+        {"coeff_re": (np.eye(3) / 3).tolist()},
+        {"coeff_re": [[0.5]], "coeff_im": [[0, 0], [0, 0]]},
+        {"schmidt": [0.2, 0.3, 0.5]},
+        {"schmidt": [[0.25, 0.25], [0.25, 0.25]]},
+        {"d": 3},
+        {},
+    ],
+    "bell": [{}],
+    "gap_example": [{}],
+    "rho_x": [{}],
+    "b_classical": [{"dims": [3, 2]}],
+    "random_hs": [{"dims": [2, 3, 2]}],
+    "random_pure": [{}],
+    "product": [{"dims": [3, 2]}],
+    "werner": [{"p": 0.5}],
+}
+
+
+@pytest.mark.parametrize("kind", protocols._RECIPES)
+def test_recipe_round_trip_for_every_kind(kind):
+    recipe = StateRecipe(kind, RECIPE_EXAMPLES[kind][0], seed=7)
+    back = StateRecipe.from_json(recipe.to_json())
+    assert back == recipe
+    rho = make_state(back)
+    assert make_state(recipe).close_to(rho, atol=1e-12)
 
 
 def test_recipe_rejects_unknown_kind():
@@ -207,30 +220,34 @@ def test_make_state_dimension_validation():
 
 
 @pytest.mark.parametrize("kind,params", [
-    ("maximally_correlated", {"coeff_re": (np.eye(3) / 3).tolist()}),
-    ("maximally_correlated", {"coeff_re": [[0.5]], "coeff_im": [[0, 0], [0, 0]]}),
-    ("maximally_correlated", {"schmidt": [0.2, 0.3, 0.5]}),
-    ("maximally_correlated", {"schmidt": [[0.25, 0.25], [0.25, 0.25]]}),
-    ("maximally_correlated", {"d": 3}),
-    ("maximally_correlated", {}),
-    ("bell", {}),
-    ("gap_example", {}),
-    ("rho_x", {}),
-    ("b_classical", {"dims": [3, 2]}),
-    ("random_hs", {"dims": [2, 3, 2]}),
-    ("random_pure", {}),
-    ("product", {"dims": [3, 2]}),
-    ("werner", {"p": 0.5}),
+    (kind, params) for kind in protocols._RECIPES for params in RECIPE_EXAMPLES[kind]
 ])
 def test_recipe_side_matches_the_built_state(kind, params):
     recipe = StateRecipe(kind, params, seed=3)
     assert recipe_side(recipe) == make_state(recipe).side
 
 
-def test_recipe_side_rejects_a_kind_it_cannot_size(monkeypatch):
-    monkeypatch.setattr(protocols, "RECIPE_KINDS", protocols.RECIPE_KINDS + ("ghz",))
-    with pytest.raises(ValueError, match="no size known for recipe kind 'ghz'"):
-        recipe_side(StateRecipe("ghz"))
+@pytest.mark.parametrize("kind,params,message", [
+    ("werner", {"q": 0.2}, "recipe kind 'werner' takes no parameter 'q'"),
+    ("bell", {"p": 0.5}, "recipe kind 'bell' takes no parameter 'p'"),
+    ("product", {"dims": [2, 2, 2]}, "dims must list 2 subsystem dimensions, got 3"),
+    ("b_classical", {"dims": [2, 2, 2]}, "dims must list 2 subsystem dimensions, got 3"),
+], ids=["werner_q", "bell_p", "product_three_dims", "b_classical_three_dims"])
+def test_recipe_rejects_a_parameter_its_kind_does_not_take(kind, params, message):
+    recipe = StateRecipe(kind, params)
+    for read in (recipe_side, make_state):
+        with pytest.raises(ValueError) as info:
+            read(recipe)
+        assert str(info.value) == message
+
+
+def test_readme_lists_every_recipe_kind_with_its_parameters():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M)
+    assert sorted(kind for kind, _ in rows) == sorted(protocols._RECIPES)
+    for kind, text in rows:
+        assert re.findall(r"`(\w+)`", text) == list(
+            inspect.signature(protocols._RECIPES[kind]).parameters)
 
 
 def test_make_state_is_seed_deterministic():
