@@ -62,6 +62,7 @@ from .sampling import (
 )
 
 PURITY_TOL = 1e-9
+_ABSENT = object()  # the default of a recipe parameter whose presence picks a branch
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +183,14 @@ def _floats(value, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be an array of numbers, got {value!r}") from exc
 
 
-def _maximally_correlated_recipe(*, coeff_re=None, coeff_im=0.0, schmidt=None, d=2):
+def _maximally_correlated_recipe(*, coeff_re=_ABSENT, coeff_im=0.0, schmidt=_ABSENT, d=2):
     """The coefficient matrix coeff_re + i coeff_im, else the pure state of
     Schmidt weights schmidt, else a random d x d coefficient matrix."""
-    if coeff_re is not None:
+    if coeff_re is not _ABSENT:
         real, imag = _floats(coeff_re, "coeff_re"), _floats(coeff_im, "coeff_im")
         side = max(np.broadcast_shapes(real.shape, imag.shape), default=1)
         return side * side, lambda rng: maximally_correlated(real + 1j * imag)
-    if schmidt is not None:
+    if schmidt is not _ABSENT:
         lam = _floats(schmidt, "schmidt")
         if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError("schmidt weights must be a probability vector")

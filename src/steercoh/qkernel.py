@@ -42,9 +42,8 @@ def _as_square_complex(m) -> np.ndarray:
 
 
 def _number(value, what: str, cast):
-    """cast(value) for a field read from JSON. A value of the wrong JSON type
-    (a list, an object) raises ValueError, as a malformed number does; so
-    does a fractional or non-finite number when cast is int."""
+    """cast(value) for a JSON field; a value of the wrong JSON type, or a
+    fractional or non-finite number cast to int, raises ValueError."""
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     try:

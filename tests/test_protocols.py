@@ -200,6 +200,9 @@ def test_make_state_schmidt_weights_validated():
         make_state(StateRecipe("maximally_correlated", {"schmidt": [0.5, 0.6]}))
     with pytest.raises(ValueError):
         make_state(StateRecipe("maximally_correlated", {"schmidt": [-0.1, 1.1]}))
+    for field in ("schmidt", "coeff_re"):  # null is not an absent field
+        with pytest.raises(ValueError):
+            make_state(StateRecipe("maximally_correlated", {field: None}))
 
 
 def test_make_state_coefficient_matrix_input():
