@@ -57,17 +57,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .measures import DistanceKind, coherence
+from .measures import DistanceKind
+from .measures import coherence  # noqa: F401  (perfbench/tracer.py rebinds it)
 from .qkernel import (
     EIG_FLOOR,
     ZERO_PROB,
     DensityMatrix,
     ProjectiveBasis,
     _entropy_rows,
-    dephase,  # noqa: F401  (unused here; perfbench/tracer.py rebinds it)
+    _steered_dims,
+    dephase,  # noqa: F401  (perfbench/tracer.py rebinds it)
     eig_hermitian,
     partial_trace,
-    steer,
+    steer,  # noqa: F401  (perfbench/tracer.py rebinds it)
     von_neumann_entropy,
 )
 from .report import FAIL, PASS, VerificationReport
@@ -491,14 +493,31 @@ def avg_steered_coherence(rho: DensityMatrix, alice: ProjectiveBasis,
                           bob_basis: ProjectiveBasis, kind) -> float:
     """Average coherence of Bob's steered states for one Alice basis.
 
-    Reference implementation used for witnesses and cross-checks; steer
-    leaves out the outcomes of probability below ZERO_PROB.
+    The reference behind sic's witness check and the cross-checks, sharing
+    no code with the objectives or the charts. One contraction gives Bob's
+    steered states rho_i in his basis (those below ZERO_PROB dropped, as
+    steer drops them); each adds p_i times S(Delta rho_i) - S(rho_i),
+    clipped at 0, for 'r' (one stacked eigvalsh), or the sum of its
+    off-diagonal moduli for 'l1' and, on a qubit Bob only, 't'.
     """
     kind = DistanceKind.parse(kind)
-    total = 0.0
-    for out in steer(rho, alice):
-        total += out.probability * coherence(kind, out.state, bob_basis)
-    return total
+    da, db = _steered_dims(rho, alice)
+    if bob_basis.dim != db:
+        raise ValueError(f"basis dim {bob_basis.dim} does not match state side {db}")
+    if kind is DistanceKind.TRACE_NORM and db != 2:
+        raise ValueError("trace-norm coherence is only defined here for dim 2")
+    ua, ub = alice.matrix, bob_basis.matrix
+    m = np.einsum("ai,abcd,ci->ibd", ua.conj(), rho.data.reshape(da, db, da, db), ua)
+    m = ub.conj().T @ m @ ub
+    ps = np.einsum("ibb->i", m).real
+    good = ps >= ZERO_PROB
+    ps, m = ps[good], m[good] / ps[good, None, None]
+    diag = np.einsum("ibb->ib", m).real
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        per = np.maximum(_entropy_rows(diag) - _entropy_rows(np.linalg.eigvalsh(m)), 0.0)
+    else:
+        per = np.abs(m[:, ~np.eye(db, dtype=bool)]).sum(axis=1)
+    return float(ps @ per)
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +882,15 @@ def _maximize_alice(rho: DensityMatrix, bob: np.ndarray, kind: DistanceKind,
 # disturbance quantities
 
 
+@lru_cache(maxsize=32)
+def _keep_mask(da: int, db: int, on_a: bool, on_b: bool) -> np.ndarray:
+    """0/1 mask of the entries that dephasing the marked sides keeps; read-only."""
+    keep = np.kron(np.eye(da) if on_a else np.ones((da, da)),
+                   np.eye(db) if on_b else np.ones((db, db)))
+    keep.flags.writeable = False
+    return keep
+
+
 def _disturbance_objective(rho: DensityMatrix, fam_a, fam_b, kind: DistanceKind):
     """The distance from rho to its dephasing in the family members picked
     by phi = (fam_a params, fam_b params), with its gradient in phi; only B
@@ -897,12 +925,12 @@ def _disturbance_objective(rho: DensityMatrix, fam_a, fam_b, kind: DistanceKind)
     if fams_a is None:
         bases_a, na = None, 0
         eye_a = np.eye(da)
-        keep = np.kron(np.ones((da, da)), np.eye(db))
+        keep = _keep_mask(da, db, False, True)
         runs = _block_runs(fams_b[0].active_blocks)
         contract_b = "...abcd,ac->...bd"
     else:
         bases_a, na = np.array([f.base.matrix for f in fams_a]), fams_a[0].n_params
-        keep = np.kron(np.eye(da), np.eye(db))
+        keep = _keep_mask(da, db, True, True)
         runs = _block_runs(fams_a[0].active_blocks, fams_b[0].active_blocks)
         contract_b = "...abcd,...ac->...bd"
     n = na + fams_b[0].n_params
@@ -1141,7 +1169,7 @@ def _danskin_objective(rho: DensityMatrix, alice: np.ndarray, fam: EigenbasisFam
     da, db = rho.dims
     rot = _rotated(rho.data, alice, np.eye(db))
     # Alice's pinching of the validated rho in her frame is a state
-    sigma = DensityMatrix._derived(rot * np.kron(np.eye(da), np.ones((db, db))), rho.dims)
+    sigma = DensityMatrix._derived(rot * _keep_mask(da, db, True, False), rho.dims)
     return _disturbance_objective(sigma, None, fam, kind)
 
 

@@ -176,11 +176,14 @@ class StateRecipe:
 
 def _floats(value, what: str) -> np.ndarray:
     """value as a float array, for a recipe field; a value of the wrong JSON
-    type (an object) raises ValueError, as a ragged list does."""
+    type (an object or null) raises ValueError, as a ragged list does."""
+    message = f"{what} must be an array of numbers, got {value!r}"
+    if value is None:  # np.asarray would make it a 0-d NaN
+        raise ValueError(message)
     try:
         return np.asarray(value, dtype=float)
     except TypeError as exc:
-        raise ValueError(f"{what} must be an array of numbers, got {value!r}") from exc
+        raise ValueError(message) from exc
 
 
 def _maximally_correlated_recipe(*, coeff_re=_ABSENT, coeff_im=0.0, schmidt=_ABSENT, d=2):
@@ -197,6 +200,8 @@ def _maximally_correlated_recipe(*, coeff_re=_ABSENT, coeff_im=0.0, schmidt=_ABS
         root = np.sqrt(np.clip(lam, 0.0, None))
         return root.size ** 2, lambda rng: maximally_correlated(np.outer(root, root))
     d = _number(d, "d", int)
+    if d < 2:
+        raise ValueError("d must be at least 2")
     return d * d, lambda rng: maximally_correlated(random_psd_unit_trace(d, rng))
 
 

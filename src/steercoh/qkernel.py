@@ -5,8 +5,9 @@ systems. Subsystem structure is carried as a tuple of local dimensions, with
 subsystem 0 as the leftmost tensor factor (row-major Kronecker convention).
 States, bases and Kraus maps are validated to DEFAULT_TOL and must have
 finite entries; a state the library derives from a validated one by a map
-that keeps states states (dephase, coherence's change of frame, and the
-state sigma that Alice's measurement leaves in correlations'
+that keeps states states (dephase, coherence's change of frame, the
+normalized outcomes of steer and selective apply_kraus, partial_trace, and
+the state sigma that Alice's measurement leaves in correlations'
 _danskin_objective) is not validated again. Measurements (steer, selective
 apply_kraus) return only the outcomes of probability at least ZERO_PROB.
 """
@@ -242,7 +243,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(t, bra + ket, out)
     side = math.prod(rho.dims[k] for k in keep)
-    return DensityMatrix(reduced.reshape(side, side), tuple(rho.dims[k] for k in keep))
+    return DensityMatrix._derived(reduced.reshape(side, side), tuple(rho.dims[k] for k in keep))
 
 
 def regroup_dims(rho: DensityMatrix, dims) -> DensityMatrix:
@@ -286,24 +287,31 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def _outcomes(unnormalized, dims) -> tuple:
     """SteeringOutcome records of unnormalized conditional states, in order,
-    without those of probability below ZERO_PROB."""
+    without those of probability below ZERO_PROB; not validated again, as
+    m / p scales m's rounding by 1 / p."""
     outcomes = []
     for m in unnormalized:
         p = float(m.trace().real)
         if p >= ZERO_PROB:
-            outcomes.append(SteeringOutcome(p, DensityMatrix(m / p, dims)))
+            outcomes.append(SteeringOutcome(p, DensityMatrix._derived(m / p, dims)))
     return tuple(outcomes)
+
+
+def _steered_dims(rho: DensityMatrix, basis: ProjectiveBasis) -> tuple:
+    """(d_A, d_B) of a bipartite state to be measured on A in basis."""
+    if rho.n_subsystems != 2:
+        raise ValueError("steer expects a bipartite state (regroup dims first)")
+    da, db = rho.dims
+    if basis.dim != da:
+        raise ValueError(f"basis dim {basis.dim} does not match subsystem A dim {da}")
+    return da, db
 
 
 def steer(rho: DensityMatrix, basis: ProjectiveBasis) -> tuple:
     """Measure subsystem A of a bipartite state projectively; return the
     outcomes of B's conditional states, in basis order, without those of
     probability below ZERO_PROB."""
-    if rho.n_subsystems != 2:
-        raise ValueError("steer expects a bipartite state (regroup dims first)")
-    da, db = rho.dims
-    if basis.dim != da:
-        raise ValueError(f"basis dim {basis.dim} does not match subsystem A dim {da}")
+    da, db = _steered_dims(rho, basis)
     t = rho.data.reshape(da, db, da, db)
     return _outcomes((np.einsum("a,abcd,c->bd", v.conj(), t, v) for v in basis.vectors),
                      (db,))

@@ -422,13 +422,31 @@ def test_compute_non_list_dims_exits_one(capsys):
      "d must be an integer, got inf"),
     ("compute coherence", '{"kind": "random_hs", "params": {"dims": [2.7, 2]}}',
      "a subsystem dimension must be an integer, got 2.7"),
+    # a JSON null is not read as a 0-d NaN
+    ("compute coherence", '{"kind": "maximally_correlated", "params": {"coeff_re": null}}',
+     "coeff_re must be an array of numbers, got None"),
+    ("compute coherence",
+     '{"kind": "maximally_correlated", "params": {"coeff_re": [[1]], "coeff_im": null}}',
+     "coeff_im must be an array of numbers, got None"),
+    ("compute sic", '{"kind": "maximally_correlated", "params": {"schmidt": null}}',
+     "schmidt must be an array of numbers, got None"),
 ], ids=["werner_p_list", "bell_seed_list", "bell_params_number", "coeff_re_scalar",
         "sweep_grid_entry_list", "schmidt_object", "seed_infinite", "dims_infinite",
-        "d_infinite", "dims_fractional"])
+        "d_infinite", "dims_fractional", "coeff_re_null", "coeff_im_null", "schmidt_null"])
 def test_recipe_field_of_the_wrong_json_type_exits_one(command, recipe, message, capsys):
     assert main([*command.split(), "--recipe", recipe]) == 1
     err = capsys.readouterr().err
     assert err == f"error: invalid recipe: {message}\n"
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_maximally_correlated_d_below_two_exits_one(d, capsys):
+    # every subsystem of a state has dimension at least 2
+    recipe = json.dumps({"kind": "maximally_correlated", "params": {"d": d}})
+    assert main(["compute", "coherence", "--recipe", recipe]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid recipe: d must be at least 2\n"
 
 
 @pytest.mark.parametrize("recipe,side", [

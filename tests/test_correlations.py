@@ -38,6 +38,7 @@ from steercoh import (
     ree_numeric,
     sic,
     sic_l1_closed,
+    steer,
     tensor_product,
     verify_sic_properties,
     verify_theorem1,
@@ -228,17 +229,64 @@ def test_avg_steered_coherence_of_bell_is_one_for_conjugate_bases():
     assert np.isclose(avg_steered_coherence(bell, comp, comp, "r"), 0.0, atol=1e-12)
 
 
-def test_avg_steered_coherence_matches_manual_sum():
-    rng = np.random.default_rng(3)
-    rho = random_hs_state((2, 2), rng)
-    alice = ProjectiveBasis.from_columns(haar_unitary(2, rng))
-    bob = ProjectiveBasis.from_columns(haar_unitary(2, rng))
-    from steercoh import steer
-
+def _per_outcome_average(rho, alice, bob, kind):
+    """The average steered coherence as one steer and one coherence call per
+    outcome."""
     manual = 0.0
     for out in steer(rho, alice):
-        manual += out.probability * coherence("r", out.state, bob)
-    assert np.isclose(avg_steered_coherence(rho, alice, bob, "r"), manual, atol=1e-12)
+        manual += out.probability * coherence(kind, out.state, bob)
+    return manual
+
+
+def test_avg_steered_coherence_matches_manual_sum():
+    # the one-pass reference equals the per-outcome sum, for every kind it
+    # takes, with a dropped zero-probability outcome, and with the same errors
+    rng = np.random.default_rng(3)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(3):
+            rho = random_hs_state(dims, rng)
+            alice = ProjectiveBasis.from_columns(haar_unitary(dims[0], rng))
+            bob = ProjectiveBasis.from_columns(haar_unitary(dims[1], rng))
+            for kind in ("r", "l1", "t") if dims[1] == 2 else ("r", "l1"):
+                assert abs(avg_steered_coherence(rho, alice, bob, kind)
+                           - _per_outcome_average(rho, alice, bob, kind)) <= 1e-13
+    rho = tensor_product(DensityMatrix.from_pure([1.0, 0.0, 0.0], (3,)),
+                         random_hs_state((2,), rng))
+    comp = ProjectiveBasis.computational(3)
+    bob = ProjectiveBasis.from_columns(haar_unitary(2, rng))
+    assert len(steer(rho, comp)) == 1
+    for kind in ("r", "l1"):
+        value = avg_steered_coherence(rho, comp, bob, kind)
+        assert value > 0.0
+        assert abs(value - _per_outcome_average(rho, comp, bob, kind)) <= 1e-13
+    tri = random_hs_state((2, 2, 2), rng)
+    two = ProjectiveBasis.computational(2)
+    for args in ((tri, two, two, "r"), (rho, two, bob, "r"), (rho, comp, comp, "l1"),
+                 (random_hs_state((2, 3), rng), two, comp, "t")):
+        with pytest.raises(ValueError) as old:
+            _per_outcome_average(*args)
+        with pytest.raises(ValueError) as new:
+            avg_steered_coherence(*args)
+        assert (new.type, str(new.value)) == (old.type, str(old.value))
+
+
+def test_avg_steered_coherence_keeps_outcomes_of_small_probability():
+    # pure states of Schmidt weight w under local unitaries, measured in
+    # rho_A's eigenbasis: one outcome has probability about w, and m / p
+    # amplifies the rounding of m by 1 / p past the Hermiticity tolerance
+    # of a validated state
+    rng = np.random.default_rng(3939)
+    for w in (1e-9, 1e-10, 1e-11, 3e-12):
+        psi = np.array([math.sqrt(1.0 - w), 0.0, 0.0, math.sqrt(w)])
+        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        rho = DensityMatrix.from_pure(u @ psi, (2, 2))
+        alice = ProjectiveBasis.from_columns(np.linalg.eigh(partial_trace(rho, [0]).data)[1])
+        outs = steer(rho, alice)
+        assert len(outs) == 2
+        assert abs(sum(out.probability for out in outs) - 1.0) <= 1e-12
+        for kind in ("r", "l1"):
+            value = avg_steered_coherence(rho, alice, ProjectiveBasis.computational(2), kind)
+            assert math.isfinite(value) and value >= 0.0
 
 
 KINDS = (DistanceKind.RELATIVE_ENTROPY, DistanceKind.L1)

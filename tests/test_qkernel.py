@@ -385,6 +385,42 @@ def test_apply_kraus_selective_keeps_surviving_outcomes_in_operator_order():
         assert out.state.close_to(rho, atol=1e-15)
 
 
+def test_derived_states_are_not_validated_again(monkeypatch, tmp_path):
+    # measurement outcomes and partial traces of a validated state are taken
+    # unvalidated and give the bits of the validated construction
+    rng = np.random.default_rng(39)
+    rho = random_hs_state((2, 3), rng)
+    alice = ProjectiveBasis.from_columns(haar_unitary(2, rng))
+    kmap = KrausMap((np.diag([0.6, 0.8]), np.diag([0.8, 0.6])), target=0)
+
+    def derive():
+        outs = steer(rho, alice) + apply_kraus(rho, kmap, selective=True)
+        return [out.state for out in outs] + [partial_trace(rho, [0]), partial_trace(rho, 1)]
+
+    with monkeypatch.context() as m:
+        m.setattr(DensityMatrix, "_derived", classmethod(lambda cls, data, dims: cls(data, dims)))
+        validated = derive()
+    made = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: (made.append(self), post_init(self)))
+    derived = derive()
+    assert made == []
+    for got, want in zip(derived, validated, strict=True):
+        assert got.dims == want.dims
+        assert got.data.tobytes() == want.data.tobytes()
+        assert not got.data.flags.writeable
+    # a state that enters from outside, and a map's summed output, are still
+    # validated
+    path = tmp_path / "state.json"
+    save_state(rho, str(path))
+    DensityMatrix(rho.data, rho.dims)
+    load_state(str(path))
+    apply_kraus(rho, kmap)
+    tensor_product(rho, partial_trace(rho, [0]))
+    assert len(made) == 4
+
+
 def test_atomic_write_text(tmp_path):
     path = tmp_path / "note.txt"
     atomic_write_text(str(path), "alpha")
